@@ -62,8 +62,9 @@ def test_disabled_tracing_overhead_under_5pct(name, standard_graph):
     raw = _best_of(bare)
     instrumented = _best_of(lambda: sched.schedule(standard_graph))
     overhead = instrumented / raw - 1.0
+    # Recorded signed: timing noise can make the instrumented call faster.
     get_registry().observe(
-        f"bench.obs_overhead_pct.{name}", round(max(overhead, 0.0) * 100, 3)
+        f"bench.obs_overhead_pct.{name}", round(overhead * 100, 3)
     )
     assert overhead < MAX_OVERHEAD, (
         f"{name}: instrumented {instrumented * 1e3:.3f}ms vs bare "

@@ -38,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.batch import use_batch
-from repro.experiments.kernelbench import _serialized
+from repro.experiments.batchbench import _serialized
 from repro.experiments.runner import run_suite
 from repro.generation.suites import adversarial_suite
 

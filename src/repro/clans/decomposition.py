@@ -20,30 +20,22 @@ tree is its modular decomposition:
   maximal strong module containing ``v``, so the union of all proper
   closures from ``v`` *is* that child.
 
-Complexity is O(n^3) worst case, comfortably fast for the testbed's graph
-sizes.  Two interchangeable backends produce the identical tree:
-
-* the original numpy implementation, whose inner loops are vectorized over
-  the int8 relation matrix; and
-* an integer-bitset implementation (one Python int per vertex row) used when
-  the compiled kernels are enabled — at testbed sizes (n of order 100) the
-  closure waves fit in a few machine words each, and big-int and/or/xor
-  beats the per-call overhead of many tiny numpy ops by a wide margin.
-
-Both order vertices topologically, discover components in ascending
-first-vertex order and seed smallest-module closures in the same (v, u)
-order, so the recursion shapes — not just the final trees — coincide.
+Relations are held as integer bitsets (one Python int per vertex row): at
+testbed sizes (n of order 100) the closure waves fit in a few machine words
+each, and big-int and/or/xor is fast.  Vertices are numbered in ascending
+topological order, so "lowest set bit" is "minimum topological index":
+components are discovered in ascending first-vertex order and
+smallest-module closures are seeded in ascending (v, u) order, which makes
+child orderings deterministic.  Complexity is O(n^3) worst case, comfortably
+fast for the testbed's graph sizes.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.exceptions import DecompositionError
-from ..core.kernels import kernels_enabled
 from ..core.taskgraph import Task, TaskGraph
 from .parse_tree import ClanKind, ClanNode
-from .relations import UNRELATED, RelationMatrix
+from .relations import RelationMatrix
 
 __all__ = ["decompose", "is_clan", "clan_parse_tree"]
 
@@ -60,53 +52,8 @@ def decompose(graph: TaskGraph) -> ClanNode:
     """
     if graph.n_tasks == 0:
         raise DecompositionError("cannot decompose an empty graph")
-    if kernels_enabled():
-        br = _BitRelations(graph)
-        return _decompose_bits(br, br.full)
-    rm = RelationMatrix(graph)
-    indices = np.arange(rm.n)
-    return _decompose(rm, indices)
-
-
-def _decompose(rm: RelationMatrix, idx: np.ndarray) -> ClanNode:
-    """Recursive modular decomposition on the vertex subset ``idx``.
-
-    ``idx`` holds positions into ``rm.tasks`` in ascending topological order.
-    """
-    if len(idx) == 1:
-        task = rm.tasks[int(idx[0])]
-        return ClanNode(ClanKind.LEAF, frozenset([task]), task=task)
-
-    sub = rm.matrix[np.ix_(idx, idx)]
-    comparable = sub != UNRELATED  # symmetric boolean matrix
-
-    comp_labels = _components(comparable)
-    if comp_labels.max() > 0:
-        children = [
-            _decompose(rm, idx[comp_labels == label])
-            for label in range(comp_labels.max() + 1)
-        ]
-        children.sort(key=lambda c: min(rm.index[t] for t in c.members))
-        return _make_internal(ClanKind.INDEPENDENT, children)
-
-    incomparable = ~comparable
-    np.fill_diagonal(incomparable, False)
-    co_labels = _components(incomparable)
-    if co_labels.max() > 0:
-        children = [
-            _decompose(rm, idx[co_labels == label])
-            for label in range(co_labels.max() + 1)
-        ]
-        # Total order between co-components: ascending minimum topological
-        # index orders them (the earliest vertex of the earlier component is
-        # an ancestor of the later component).
-        children.sort(key=lambda c: min(rm.index[t] for t in c.members))
-        _check_linear_order(rm, children)
-        return _make_internal(ClanKind.LINEAR, children)
-
-    children = [_decompose(rm, part) for part in _primitive_children(sub, idx)]
-    children.sort(key=lambda c: min(rm.index[t] for t in c.members))
-    return _make_internal(ClanKind.PRIMITIVE, children)
+    br = _BitRelations(graph)
+    return _decompose_bits(br, br.full)
 
 
 def _make_internal(kind: ClanKind, children: list[ClanNode]) -> ClanNode:
@@ -114,103 +61,12 @@ def _make_internal(kind: ClanKind, children: list[ClanNode]) -> ClanNode:
     return ClanNode(kind, members, children)
 
 
-def _components(adj: np.ndarray) -> np.ndarray:
-    """Connected-component labels of a symmetric boolean adjacency matrix."""
-    n = adj.shape[0]
-    labels = np.full(n, -1, dtype=int)
-    current = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u]):
-                if labels[v] == -1:
-                    labels[v] = current
-                    stack.append(int(v))
-        current += 1
-    return labels
-
-
-def _check_linear_order(rm: RelationMatrix, children: list[ClanNode]) -> None:
-    """Sanity check: consecutive linear children are uniformly ordered."""
-    for a, b in zip(children, children[1:]):
-        ra = next(iter(a.members))
-        rb = next(iter(b.members))
-        if not rm.is_ancestor(ra, rb):
-            raise DecompositionError(
-                "linear clan children are not totally ordered (internal error)"
-            )
-
-
-def _primitive_children(sub: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
-    """Maximal proper strong modules of a primitive 2-structure.
-
-    ``sub`` is the relation matrix restricted to the clan; returns global
-    index arrays, one per child, partitioning ``idx``.
-    """
-    n = sub.shape[0]
-    assigned = np.full(n, -1, dtype=int)
-    parts: list[np.ndarray] = []
-    for v in range(n):
-        if assigned[v] != -1:
-            continue
-        member = np.zeros(n, dtype=bool)
-        member[v] = True
-        for u in range(n):
-            if u == v or member[u] or assigned[u] != -1:
-                continue
-            closure = _smallest_module(sub, v, u)
-            if not closure.all():  # proper: lies inside v's maximal module
-                member |= closure
-        label = len(parts)
-        assigned[np.flatnonzero(member)] = label
-        parts.append(idx[member])
-    if len(parts) < 2:
-        raise DecompositionError(
-            "primitive clan produced fewer than two children (internal error)"
-        )
-    return parts
-
-
-def _smallest_module(rel: np.ndarray, v: int, u: int) -> np.ndarray:
-    """Boolean mask of the smallest module containing vertices ``v`` and ``u``.
-
-    Wave-batched closure: whenever vertices join the module, every outside
-    vertex whose relation to any of them differs from its (uniform) relation
-    to the module becomes a splitter and joins in the next wave.  Each wave
-    is one vectorized comparison against the batch of new columns, so the
-    closure costs O(waves * k * n) numpy work for a module of size k — and
-    modules that blow up to the full set do so in very few waves.
-    """
-    n = rel.shape[0]
-    member = np.zeros(n, dtype=bool)
-    member[v] = True
-    member[u] = True
-    # ref[z] = relation of z to the module (uniform by the closure invariant)
-    ref = rel[:, v]
-    new = np.array([u], dtype=np.intp)
-    count = 2
-    while new.size:
-        splits = (rel[:, new] != ref[:, None]).any(axis=1)
-        splits &= ~member
-        new = np.flatnonzero(splits)
-        member[new] = True
-        count += new.size
-        if count == n:
-            break
-    return member
-
-
 # ----------------------------------------------------------------------
-# bitset backend
+# bitset relations
 #
 # One Python int per vertex row: bit j of ``desc[i]`` marks a strict
 # descendant, etc.  Vertex numbering is the same ascending topological order
-# as RelationMatrix, so "lowest set bit" == "minimum topological index" and
-# the child orderings match the numpy backend exactly.
+# as RelationMatrix, so "lowest set bit" == "minimum topological index".
 # ----------------------------------------------------------------------
 
 
@@ -249,8 +105,7 @@ class _BitRelations:
 def _mask_components(subset: int, adj: list[int]) -> list[int]:
     """Connected components of ``subset`` under symmetric adjacency ``adj``.
 
-    Components come out in ascending order of their smallest vertex, matching
-    the start-vertex scan of the numpy :func:`_components`.
+    Components come out in ascending order of their smallest vertex.
     """
     comps: list[int] = []
     rest = subset
@@ -304,8 +159,8 @@ def _decompose_bits(br: _BitRelations, subset: int) -> ClanNode:
 def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
     """Maximal proper strong modules of a primitive 2-structure (as masks).
 
-    Same (v, u) seeding order as the numpy :func:`_primitive_children`; each
-    part's smallest vertex is its seed, so parts come out ascending.
+    Seeds ``v`` are taken in ascending order; each part's smallest vertex
+    is its seed, so parts come out ascending.
 
     For each seed ``v`` (one per part) the splitter masks are hoisted:
     ``diffs[w]`` is the set of vertices whose relation to ``w`` differs from
@@ -356,11 +211,11 @@ def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
 def _smallest_module_bits(subset: int, vbit: int, ubit: int, diffs: list[int]) -> int:
     """Smallest module (within ``subset``) containing ``vbit`` and ``ubit``.
 
-    Same wave-batched closure as the numpy :func:`_smallest_module`:
-    whenever vertices join, every outside vertex whose relation to any of
-    them differs from its (uniform) relation to the seed becomes a splitter
-    and joins in the next wave.  ``diffs`` holds the precomputed per-vertex
-    splitter masks (see :func:`_primitive_children_bits`).
+    Wave-batched closure: whenever vertices join, every outside vertex whose
+    relation to any of them differs from its (uniform) relation to the seed
+    becomes a splitter and joins in the next wave.  ``diffs`` holds the
+    precomputed per-vertex splitter masks (see
+    :func:`_primitive_children_bits`).
     """
     member = vbit | ubit
     new = ubit

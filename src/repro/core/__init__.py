@@ -23,7 +23,7 @@ from .exceptions import (
     ReproError,
     ScheduleError,
 )
-from .kernels import GraphIndex, graph_index, kernels_enabled, use_kernels
+from .kernels import GraphIndex, graph_index
 from .lowerbounds import best_bound, cp_bound, density_bound, work_bound
 from .metrics import (
     GRANULARITY_BANDS,
@@ -59,8 +59,6 @@ __all__ = [
     "alap_times_view",
     "GraphIndex",
     "graph_index",
-    "kernels_enabled",
-    "use_kernels",
     "granularity",
     "granularity_band",
     "anchor_out_degree",

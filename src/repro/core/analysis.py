@@ -25,7 +25,6 @@ from .kernels import (
     b_levels_arr,
     critical_path_idx,
     graph_index,
-    kernels_enabled,
     t_levels_arr,
 )
 from .taskgraph import Task, TaskGraph
@@ -52,54 +51,33 @@ __all__ = [
 # The public functions below memoize their results on the graph itself
 # (:meth:`TaskGraph.cached`), keyed by (quantity, communication flag), so a
 # suite run that schedules one graph with five heuristics computes each
-# traversal once instead of once per heuristic.  The memo table is dropped
-# by any graph mutation.  ``_raw`` helpers return the *shared* cached dict:
-# internal read-only consumers (and :class:`GraphAnalysis`) use them
-# directly, while the public functions hand out fresh copies so existing
-# callers may keep mutating their results.
+# traversal once instead of once per heuristic.  The traversals run on the
+# compiled index (:mod:`repro.core.kernels`); the dicts are rebuilt in the
+# traversal's order, so iteration follows the topological order (reversed
+# for b-levels).  The memo table is dropped by any graph mutation.
+# ``_raw`` helpers return the *shared* cached dict: internal read-only
+# consumers (and :class:`GraphAnalysis`) use them directly, while the
+# public functions hand out fresh copies so existing callers may keep
+# mutating their results.
 # ----------------------------------------------------------------------
 
 
 def _t_levels_raw(graph: TaskGraph, communication: bool) -> dict[Task, float]:
     def compute() -> dict[Task, float]:
-        if kernels_enabled():
-            # Same arithmetic on the compiled index; the dict is rebuilt in
-            # the traversal's insertion order so iteration is unchanged.
-            arr = t_levels_arr(graph, communication=communication)
-            gi = graph_index(graph)
-            tasks = gi.tasks
-            return {tasks[i]: arr[i] for i in gi.topo_list}
-        tl: dict[Task, float] = {}
-        weight = graph.weight
-        for t in graph.topological_order():
-            best = 0.0
-            for p, c in graph.in_edges(t).items():
-                cand = tl[p] + weight(p) + (c if communication else 0.0)
-                if cand > best:
-                    best = cand
-            tl[t] = best
-        return tl
+        arr = t_levels_arr(graph, communication=communication)
+        gi = graph_index(graph)
+        tasks = gi.tasks
+        return {tasks[i]: arr[i] for i in gi.topo_list}
 
     return graph.cached(("t_levels", communication), compute)
 
 
 def _b_levels_raw(graph: TaskGraph, communication: bool) -> dict[Task, float]:
     def compute() -> dict[Task, float]:
-        if kernels_enabled():
-            arr = b_levels_arr(graph, communication=communication)
-            gi = graph_index(graph)
-            tasks = gi.tasks
-            return {tasks[i]: arr[i] for i in reversed(gi.topo_list)}
-        bl: dict[Task, float] = {}
-        weight = graph.weight
-        for t in reversed(graph.topological_order()):
-            best = 0.0
-            for s, c in graph.out_edges(t).items():
-                cand = bl[s] + (c if communication else 0.0)
-                if cand > best:
-                    best = cand
-            bl[t] = best + weight(t)
-        return bl
+        arr = b_levels_arr(graph, communication=communication)
+        gi = graph_index(graph)
+        tasks = gi.tasks
+        return {tasks[i]: arr[i] for i in reversed(gi.topo_list)}
 
     return graph.cached(("b_levels", communication), compute)
 
@@ -153,28 +131,13 @@ def dominant_path_length(graph: TaskGraph) -> float:
 def critical_path(graph: TaskGraph, *, communication: bool = True) -> list[Task]:
     """One maximal-weight source-to-sink path, in execution order.
 
-    Ties are broken deterministically by following the first maximal
-    successor in iteration order.
+    Ties are broken deterministically by starting at the first maximal
+    source and following the first maximal successor in iteration order.
     """
     if graph.n_tasks == 0:
         return []
-    if kernels_enabled():
-        gi = graph_index(graph)
-        tasks = gi.tasks
-        return [tasks[i] for i in critical_path_idx(graph, communication=communication)]
-    bl = _b_levels_raw(graph, communication)
-    node = max(graph.sources(), key=lambda s: (bl[s],))
-    path = [node]
-    while graph.out_degree(node):
-        best_s, best_val = None, -1.0
-        for s, c in graph.out_edges(node).items():
-            val = bl[s] + (c if communication else 0.0)
-            if val > best_val:
-                best_s, best_val = s, val
-        assert best_s is not None
-        path.append(best_s)
-        node = best_s
-    return path
+    tasks = graph_index(graph).tasks
+    return [tasks[i] for i in critical_path_idx(graph, communication=communication)]
 
 
 def asap_times(graph: TaskGraph, *, communication: bool = True) -> dict[Task, float]:

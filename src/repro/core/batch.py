@@ -20,20 +20,18 @@ grouping serves the backward (b-level) sweeps: edges strictly increase
 depth, so processing depth groups in reverse is a valid reverse-topological
 wavefront.
 
-**Bit-exactness contract.**  Batched results are *float-identical* to the
-per-graph kernels (and therefore to the dict reference paths), not merely
-close: every per-node reduction is a max over IEEE doubles (order
-independent, NaN-free inputs) and every accumulation preserves the scalar
-kernels' operand order, e.g. ``(tl[j] + w[j]) + c`` is computed as a gather
-followed by two vector adds in that association.  Mean-style reductions
-(granularity, serial time) are deliberately *not* vectorized — numpy's
-pairwise summation is not bitwise-equal to Python's left fold — and use
-per-graph Python ``sum`` over the packed slices instead.
+**Bit-exactness contract.** Batched results are *float-identical* to the
+per-graph kernels, not merely close: every per-node reduction is a max over
+IEEE doubles (order independent, NaN-free inputs) and every accumulation
+preserves the scalar kernels' operand order, e.g. ``(tl[j] + w[j]) + c`` is
+computed as a gather followed by two vector adds in that association.
+Mean-style reductions (granularity, serial time) are deliberately *not*
+vectorized — numpy's pairwise summation is not bitwise-equal to Python's
+left fold — and use per-graph Python ``sum`` over the packed slices instead.
 
 **Fallback contract.**  ``REPRO_BATCH=0`` (or :func:`use_batch`) disables
-the batch layer; so does ``REPRO_KERNELS=0`` (the batch runs on compiled
-indexes) and an absent numpy (the import is guarded; the module degrades to
-inert no-ops).  :func:`batch_analyze` is an *optional accelerator*: it
+the batch layer; so does an absent numpy (the import is guarded; the module
+degrades to inert no-ops).  :func:`batch_analyze` is an *optional accelerator*: it
 primes the same per-graph memo entries the kernels would compute lazily
 (``("kernels.t_levels", True)`` etc. via ``TaskGraph.cached``), so
 consumers that never call it — or call it with batching disabled — get
@@ -62,7 +60,7 @@ except ImportError:  # pragma: no cover - tests monkeypatch _np instead
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .exceptions import CycleError
-from .kernels import GraphIndex, graph_index, kernels_enabled
+from .kernels import GraphIndex, graph_index
 from .metrics import granularity_band
 from .taskgraph import TaskGraph
 
@@ -87,11 +85,9 @@ def numpy_available() -> bool:
 def batch_enabled() -> bool:
     """Whether the batched analysis paths are active (default: yes).
 
-    Requires numpy *and* the kernel layer (the batch packs compiled
-    ``GraphIndex`` objects, so ``REPRO_KERNELS=0`` disables batching too).
-    Disabled independently by ``REPRO_BATCH=0`` or :func:`use_batch`.
+    Requires numpy; disabled by ``REPRO_BATCH=0`` or :func:`use_batch`.
     """
-    return _enabled and _np is not None and kernels_enabled()
+    return _enabled and _np is not None
 
 
 @contextmanager

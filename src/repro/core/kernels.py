@@ -1,32 +1,26 @@
 """Indexed graph kernels: CSR-compiled hot paths.
 
 The schedulers' inner loops — level computation, the simulator timing rule,
-ready-list maintenance — originally walked ``dict[Task, dict[Task, float]]``
-adjacency with hashable-object keys.  This module compiles a
-:class:`~repro.core.taskgraph.TaskGraph` once per mutation version into a
-:class:`GraphIndex`: dense integer task ids (insertion order, so id ``i``
-equals the ``seq`` tie-break index the schedulers already use), CSR
-predecessor/successor adjacency (``array('l')``/``array('d')``, no numpy
-dependency), and node/edge cost vectors.  The kernels below then run on flat
-lists of floats and ints — cache-friendly integer arithmetic instead of
-hash-table churn — and translate back to ``Task``-keyed structures only at
-the boundary.
+ready-list maintenance — run on integer task ids rather than
+``dict[Task, dict[Task, float]]`` adjacency with hashable-object keys.  This
+module compiles a :class:`~repro.core.taskgraph.TaskGraph` once per
+mutation version into a :class:`GraphIndex`: dense integer task ids
+(insertion order, so id ``i`` equals the ``seq`` tie-break index the
+schedulers use), CSR predecessor/successor adjacency
+(``array('l')``/``array('d')``, no numpy dependency), and node/edge cost
+vectors.  The kernels below then run on flat lists of floats and ints and
+translate back to ``Task``-keyed structures only at the boundary.
 
 Bit-exactness contract: every kernel performs the *same floating-point
-operations in the same order* as the dict implementation it replaces
-(associativity is not assumed — e.g. ``tl[p] + w[p] + c`` is never folded
-into ``tl[p] + (w[p] + c)``), so levels, schedules and serialized suite
-results are byte-identical between the two paths.  The equivalence is
-enforced by ``tests/test_kernels.py`` and by ``benchmarks/bench_kernels.py``.
+operations in the same order* as the straightforward dict traversal of the
+same recurrence (associativity is not assumed — e.g. ``tl[p] + w[p] + c``
+is never folded into ``tl[p] + (w[p] + c)``).  ``tests/test_kernels.py``
+enforces this against the dict oracles in ``tests/reference.py``.
 
-Fallback semantics: the kernels require a DAG (compilation topologically
-orders the ids).  Callers that must preserve historical behaviour on cyclic
-input (the public simulator entry points) catch :class:`CycleError` and fall
-back to the dict path.  Setting ``REPRO_KERNELS=0`` in the environment — or
-using :func:`use_kernels` in tests — disables the kernels globally; the dict
-implementations are kept alongside and produce identical results, so the
-switch is a debugging aid and an A/B lever for benchmarks, not a behaviour
-change.
+The kernels require a DAG: compilation topologically orders the ids and
+raises :class:`~repro.core.exceptions.CycleError` on cyclic input.  The
+public simulator entry points translate that into the
+:class:`~repro.core.exceptions.ScheduleError` they document.
 
 Observability: each compile is timed into the ``kernels.compile`` timer and
 index reuse shows up as ``kernels.cache.hits`` / ``kernels.cache.misses``
@@ -36,12 +30,9 @@ counters, so ``repro stats`` reveals whether indexes are being recompiled
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import insort
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Iterator
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -53,8 +44,6 @@ __all__ = [
     "GraphIndex",
     "graph_index",
     "discard_index",
-    "kernels_enabled",
-    "use_kernels",
     "t_levels_arr",
     "b_levels_arr",
     "alap_arr",
@@ -64,31 +53,6 @@ __all__ = [
     "descendant_masks",
     "IndexedPool",
 ]
-
-_ENV_FLAG = os.environ.get("REPRO_KERNELS", "1").strip().lower()
-_enabled: bool = _ENV_FLAG not in ("0", "false", "off", "no")
-
-
-def kernels_enabled() -> bool:
-    """Whether the compiled-kernel paths are active (default: yes).
-
-    Disabled by ``REPRO_KERNELS=0`` in the environment or temporarily by
-    :func:`use_kernels`; when off, every caller runs its dict implementation
-    and produces identical results.
-    """
-    return _enabled
-
-
-@contextmanager
-def use_kernels(flag: bool) -> Iterator[None]:
-    """Force the kernel paths on/off within a ``with`` block (tests, benches)."""
-    global _enabled
-    prev = _enabled
-    _enabled = bool(flag)
-    try:
-        yield
-    finally:
-        _enabled = prev
 
 
 class GraphIndex:
@@ -227,9 +191,9 @@ def discard_index(graph: TaskGraph) -> None:
 # ----------------------------------------------------------------------
 # level kernels
 #
-# Mirrors of repro.core.analysis's dict traversals on flat arrays.  Each is
-# memoized on the graph (same invalidation as the dict memos) and returns
-# the shared list — callers must treat results as read-only.
+# The level recurrences of repro.core.analysis on flat arrays.  Each is
+# memoized on the graph (dropped by any mutation) and returns the shared
+# list — callers must treat results as read-only.
 # ----------------------------------------------------------------------
 
 
@@ -366,8 +330,8 @@ def descendant_masks(gi: GraphIndex) -> list[int]:
 def priority_topo_order_idx(gi: GraphIndex, priority: list[float]) -> list[int]:
     """Topological order of task ids, larger ``priority`` first.
 
-    Ties break on the smaller id (= insertion order), matching the dict
-    implementation's ``(-priority, seq)`` heap keys.
+    Ties break on the smaller id (= insertion order), i.e. ``(-priority,
+    seq)`` heap keys.
     """
     indeg = list(gi.in_degree)
     heap = [(-priority[i], i) for i in range(gi.n) if indeg[i] == 0]
@@ -391,9 +355,9 @@ def simulate_ordered_idx(
 ) -> tuple[Schedule, int]:
     """The shared timing rule on integer ids; ``clusters`` hold task ids.
 
-    Returns ``(schedule, events)``.  Exactly mirrors the dict simulator's
-    LIFO ready-stack processing so task placement order (and therefore
-    serialized schedules) is unchanged.  Raises :class:`ScheduleError` when
+    Returns ``(schedule, events)``.  Ready tasks are processed from a LIFO
+    stack, which fixes the task placement order (and therefore serialized
+    schedules).  Raises :class:`ScheduleError` when
     the cluster orders conflict with precedence (deadlock).  The caller is
     responsible for validating that ``clusters`` partitions the task set.
     """
@@ -455,13 +419,21 @@ def simulate_ordered_idx(
 
 
 class IndexedPool:
-    """Integer-id port of :class:`repro.schedulers._pool.ProcessorPool`.
+    """Processor-pool bookkeeping shared by the list schedulers, on task ids.
 
-    Identical placement semantics, tie-breaking and floating-point
-    arithmetic; predecessor lookups go through the CSR rows and task finish
-    times live in a flat list instead of the ``Schedule`` mapping.  The
-    ``Schedule`` is still built incrementally (same insertion order as the
-    dict pool), so translation back to ``Task`` keys is free.
+    The machine model has an unbounded pool of identical, fully connected
+    processors; list schedulers grow the pool on demand.  The pool tracks,
+    per processor, the placed ``(start, finish, id)`` intervals so
+    schedulers can compute earliest start times either append-only (after
+    the last task) or with idle-slot insertion (MCP).  Predecessor lookups
+    go through the CSR rows and task finish times live in a flat list.
+
+    ``max_processors`` (None = unbounded, the paper's model) caps the pool:
+    once the cap is reached, fresh-processor candidates are no longer
+    offered, giving the *direct* bounded variants of the list schedulers
+    (as opposed to the fold-after post-pass in
+    :mod:`repro.schedulers.mapping`).  The ``Schedule`` is built
+    incrementally in placement order.
     """
 
     __slots__ = (
@@ -494,17 +466,24 @@ class IndexedPool:
 
     @property
     def can_grow(self) -> bool:
+        """Whether a fresh processor may still be opened."""
         return (
             self.max_processors is None
             or len(self._intervals) < self.max_processors
         )
 
     def avail(self, proc: int) -> float:
+        """Finish time of the last task on ``proc`` (0 for a fresh one)."""
         if proc >= len(self._intervals) or not self._intervals[proc]:
             return 0.0
         return self._intervals[proc][-1][1]
 
     def ready_time(self, i: int, proc: int) -> float:
+        """Earliest moment all of task ``i``'s inputs are available on ``proc``.
+
+        ``proc == self.n_processors`` denotes a fresh processor (every
+        message then crosses processors).
+        """
         ready = 0.0
         finish = self.finish
         proc_of = self.proc_of
@@ -517,10 +496,22 @@ class IndexedPool:
         return ready
 
     def est_append(self, i: int, proc: int) -> float:
+        """Earliest start of task ``i`` appended after everything on ``proc``."""
         return max(self.avail(proc), self.ready_time(i, proc))
 
     def _arrival_bounds(self, i: int) -> tuple[dict[int, float], int, float, float]:
-        """Per-processor arrival maxima in O(indeg); see ``ProcessorPool``."""
+        """Predecessor arrival facts, grouped by processor, in O(indeg).
+
+        Returns ``(local, top_proc, top, second)`` where ``local[q]`` is the
+        max finish time of task ``i``'s predecessors placed on ``q``, and
+        ``top``/``second`` are the largest and second-largest of the
+        per-processor maxima of ``finish + c`` (``top`` achieved on
+        ``top_proc``; maxima taken across *distinct* processors).  The ready
+        time on any candidate ``p`` is then O(1):
+        ``max(local.get(p, 0), top if p != top_proc else second)`` —
+        predecessors co-located with ``p`` pay no communication, all others
+        pay theirs in full.
+        """
         local: dict[int, float] = {}
         comm: dict[int, float] = {}
         finish = self.finish
@@ -544,6 +535,7 @@ class IndexedPool:
         return local, top_proc, top, second
 
     def _insertion_start(self, proc: int, ready: float, duration: float) -> float:
+        """First gap on ``proc`` fitting ``duration`` at/after ``ready``."""
         if proc >= len(self._intervals):
             return ready
         cursor = ready
@@ -555,11 +547,14 @@ class IndexedPool:
         return max(cursor, ready)
 
     def est_insertion(self, i: int, proc: int) -> float:
+        """Earliest start of task ``i`` on ``proc`` allowing idle-slot insertion."""
         return self._insertion_start(
             proc, self.ready_time(i, proc), self.gi.weights[i]
         )
 
     def place(self, i: int, proc: int, start: float) -> None:
+        """Record task ``i`` on ``proc`` at ``start`` (growing the pool by at
+        most one processor)."""
         if proc > len(self._intervals):
             raise ValueError("processor indices must be allocated contiguously")
         if proc == len(self._intervals):
@@ -569,6 +564,9 @@ class IndexedPool:
         self.finish[i] = f
         intervals = self._intervals[proc]
         entry = (start, f, i)
+        # Append-only is the common case (MH/HU/ETF/DLS and non-insertion
+        # MCP never place before the last task); insort only when actually
+        # inserting into an idle slot.
         if not intervals or entry >= intervals[-1]:
             intervals.append(entry)
         else:
@@ -576,6 +574,15 @@ class IndexedPool:
         self.proc_of[i] = proc
 
     def best_processor(self, i: int, *, insertion: bool = False) -> tuple[int, float]:
+        """Processor (existing or new) minimizing the start time of task ``i``.
+
+        Returns ``(proc, start)``.  Ties prefer existing processors over a
+        fresh one, and lower indices first, which keeps results deterministic
+        and avoids gratuitous spreading.  The scan is O(P + indeg):
+        predecessor arrivals are grouped once (:meth:`_arrival_bounds`), then
+        each candidate's ready time is O(1).  (Idle-slot insertion
+        additionally scans the candidate's placed intervals.)
+        """
         local, top_proc, top, second = self._arrival_bounds(i)
         n = len(self._intervals)
         duration = self.gi.weights[i] if insertion else 0.0
@@ -604,6 +611,13 @@ class IndexedPool:
         return best_proc, best_start
 
     def earliest_available_processor(self) -> tuple[int, float]:
+        """Processor that is *free* earliest, ignoring message arrivals.
+
+        This is HU's processor-choice rule (appendix A.4): pick by machine
+        availability, not by where the task's data lives.  Ties prefer the
+        lowest existing index; a fresh processor (avail 0) is used only when
+        no existing processor is idle at time 0.
+        """
         if self.can_grow:
             best_proc = len(self._intervals)
             best_avail = 0.0

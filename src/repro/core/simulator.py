@@ -20,11 +20,10 @@ Two entry points:
   orders are derived from a priority (b-level by default), which is the
   convention in the clustering literature.
 
-Both run on the compiled :class:`~repro.core.kernels.GraphIndex` when the
-kernels are enabled (the default), falling back to the original dict
-implementation when they are disabled or the graph is cyclic (the kernels
-need a topological order to compile, while the dict path reports cycles as
-clustering deadlocks — the fallback preserves that error).  ``validate``
+Both run on the compiled :class:`~repro.core.kernels.GraphIndex`.  A cyclic
+graph cannot be compiled; both entry points report it as a
+:class:`~repro.core.exceptions.ScheduleError` (``simulate_ordered`` as a
+clustering deadlock, ``simulate_clustering`` as a cycle).  ``validate``
 (default True) checks that the clustering covers exactly the graph's task
 set; internal callers that construct clusterings from the graph itself pass
 ``validate=False`` to skip the per-call set rebuilds.
@@ -35,13 +34,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from ..obs.metrics import get_registry
-from .analysis import _b_levels_raw
 from .exceptions import CycleError, ScheduleError
 from .kernels import (
     GraphIndex,
     b_levels_arr,
     graph_index,
-    kernels_enabled,
     priority_topo_order_idx,
     simulate_ordered_idx,
 )
@@ -51,18 +48,12 @@ from .taskgraph import Task, TaskGraph
 __all__ = ["simulate_ordered", "simulate_clustering", "serial_schedule"]
 
 
-def _compiled(graph: TaskGraph) -> GraphIndex | None:
-    """The graph's index when the kernel path applies, else None.
-
-    Cyclic graphs return None: compilation needs a topological order, and
-    the dict path must keep reporting cycles as clustering deadlocks.
-    """
-    if not kernels_enabled():
-        return None
+def _compiled(graph: TaskGraph, cycle_message: str) -> GraphIndex:
+    """The graph's index; a cyclic graph raises ``ScheduleError(cycle_message)``."""
     try:
         return graph_index(graph)
-    except CycleError:
-        return None
+    except CycleError as err:
+        raise ScheduleError(cycle_message) from err
 
 
 def _validate_clusters(graph: TaskGraph, clusters: Sequence[Sequence[Task]]) -> None:
@@ -105,56 +96,12 @@ def simulate_ordered(
     if validate:
         _validate_clusters(graph, clusters)
 
-    gi = _compiled(graph)
-    if gi is not None:
-        index_of = gi.index_of
-        clusters_idx = [[index_of[t] for t in cluster] for cluster in clusters]
-        schedule, done = simulate_ordered_idx(gi, clusters_idx)
-        _count_run(done)
-        return schedule
-
-    proc_of: dict[Task, int] = {}
-    position: dict[Task, int] = {}
-    for i, cluster in enumerate(clusters):
-        for j, t in enumerate(cluster):
-            proc_of[t] = i
-            position[t] = j
-
-    # Count unmet constraints per task: DAG predecessors + cluster predecessor.
-    waiting: dict[Task, int] = {}
-    for t in graph.tasks():
-        waiting[t] = graph.in_degree(t) + (1 if position[t] > 0 else 0)
-    ready = [t for t, w in waiting.items() if w == 0]
-
-    schedule = Schedule()
-    proc_free = [0.0] * len(clusters)
-    done = 0
-    while ready:
-        t = ready.pop()
-        p = proc_of[t]
-        start = proc_free[p]
-        for pred, c in graph.in_edges(t).items():
-            arrival = schedule.finish(pred) + (c if proc_of[pred] != p else 0.0)
-            if arrival > start:
-                start = arrival
-        schedule.place(t, p, start, graph.weight(t))
-        proc_free[p] = schedule.finish(t)
-        done += 1
-        # release DAG successors and the next task in this cluster
-        for s in graph.successors(t):
-            waiting[s] -= 1
-            if waiting[s] == 0:
-                ready.append(s)
-        nxt_pos = position[t] + 1
-        if nxt_pos < len(clusters[p]):
-            nxt = clusters[p][nxt_pos]
-            waiting[nxt] -= 1
-            if waiting[nxt] == 0:
-                ready.append(nxt)
-    if done != graph.n_tasks:
-        raise ScheduleError(
-            "clustering deadlocks: cluster orders conflict with precedence"
-        )
+    gi = _compiled(
+        graph, "clustering deadlocks: cluster orders conflict with precedence"
+    )
+    index_of = gi.index_of
+    clusters_idx = [[index_of[t] for t in cluster] for cluster in clusters]
+    schedule, done = simulate_ordered_idx(gi, clusters_idx)
     _count_run(done)
     return schedule
 
@@ -180,35 +127,20 @@ def simulate_clustering(
         if set(assignment) != tasks:
             raise ScheduleError("assignment does not cover exactly the graph's tasks")
 
-    gi = _compiled(graph)
-    if gi is not None:
-        if priority is None:
-            prio = b_levels_arr(graph, communication=True)
-        else:
-            prio = [priority[t] for t in gi.tasks]
-        order = priority_topo_order_idx(gi, prio)
-        procs = sorted(set(assignment.values()))
-        remap = {p: i for i, p in enumerate(procs)}
-        proc_arr = [0] * gi.n
-        index_of = gi.index_of
-        for t, p in assignment.items():
-            proc_arr[index_of[t]] = remap[p]
-        clusters_idx: list[list[int]] = [[] for _ in procs]
-        for i in order:
-            clusters_idx[proc_arr[i]].append(i)
-        schedule, done = simulate_ordered_idx(gi, clusters_idx)
-        _count_run(done)
-        return schedule
-
-    if priority is None:
-        priority = _b_levels_raw(graph, True)  # shared memo; read-only here
-
+    gi = _compiled(graph, "graph contains a cycle")
+    order = _priority_order_idx(graph, gi, priority)
     procs = sorted(set(assignment.values()))
     remap = {p: i for i, p in enumerate(procs)}
-    clusters: list[list[Task]] = [[] for _ in procs]
-    for t in _priority_topological_order(graph, priority):
-        clusters[remap[assignment[t]]].append(t)
-    return simulate_ordered(graph, clusters, validate=False)
+    proc_arr = [0] * gi.n
+    index_of = gi.index_of
+    for t, p in assignment.items():
+        proc_arr[index_of[t]] = remap[p]
+    clusters_idx: list[list[int]] = [[] for _ in procs]
+    for i in order:
+        clusters_idx[proc_arr[i]].append(i)
+    schedule, done = simulate_ordered_idx(gi, clusters_idx)
+    _count_run(done)
+    return schedule
 
 
 def serial_schedule(graph: TaskGraph) -> Schedule:
@@ -216,28 +148,25 @@ def serial_schedule(graph: TaskGraph) -> Schedule:
     return simulate_ordered(graph, [graph.topological_order()], validate=False)
 
 
-def _priority_topological_order(
-    graph: TaskGraph, priority: Mapping[Task, float]
-) -> list[Task]:
-    """Topological order breaking ties by larger priority first.
+def _priority_order_idx(
+    graph: TaskGraph, gi: GraphIndex, priority: Mapping[Task, float] | None
+) -> list[int]:
+    """Topological order of task ids, larger ``priority`` first.
 
-    Deterministic: secondary tie-break is insertion order via a stable sort
-    on each extraction batch.
+    ``priority`` defaults to the communication-inclusive b-level; ties break
+    on insertion order.
     """
-    import heapq
+    if priority is None:
+        prio = b_levels_arr(graph, communication=True)
+    else:
+        prio = [priority[t] for t in gi.tasks]
+    return priority_topo_order_idx(gi, prio)
 
-    indeg = {t: graph.in_degree(t) for t in graph.tasks()}
-    seq = {t: i for i, t in enumerate(graph.tasks())}
-    heap = [(-priority[t], seq[t], t) for t in graph.tasks() if indeg[t] == 0]
-    heapq.heapify(heap)
-    order: list[Task] = []
-    while heap:
-        _, _, t = heapq.heappop(heap)
-        order.append(t)
-        for s in graph.successors(t):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(heap, (-priority[s], seq[s], s))
-    if len(order) != graph.n_tasks:
-        raise ScheduleError("graph contains a cycle")
-    return order
+
+def _priority_order(
+    graph: TaskGraph, priority: Mapping[Task, float] | None = None
+) -> list[Task]:
+    """Tasks in :func:`_priority_order_idx` order; cycles raise ``ScheduleError``."""
+    gi = _compiled(graph, "graph contains a cycle")
+    tasks = gi.tasks
+    return [tasks[i] for i in _priority_order_idx(graph, gi, priority)]

@@ -15,11 +15,12 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from types import MappingProxyType
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from .exceptions import CycleError, GraphError
+
+if TYPE_CHECKING:  # networkx is imported lazily: ``import repro`` stays light
+    import networkx as nx
 
 Task = Hashable
 Edge = tuple[Task, Task]
@@ -422,6 +423,8 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """A networkx DiGraph with ``weight`` node/edge attributes."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for t, w in self._weight.items():
             g.add_node(t, weight=w)

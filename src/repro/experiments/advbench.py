@@ -34,7 +34,7 @@ from ..adversarial.search import hunt
 from ..adversarial.store import InstanceRecord, build_base_graph, verify_replay, wire_record
 from ..generation.suites import generate_suite
 from ..obs.metrics import MetricsRegistry, use_registry
-from .kernelbench import SEED
+from .batchbench import SEED
 
 __all__ = [
     "SEED",

@@ -8,19 +8,19 @@ measurements, each with a bit-exactness check:
   the per-graph kernel loop over precompiled
   :class:`~repro.core.kernels.GraphIndex` objects against one
   :class:`~repro.core.batch.GraphBatch` sweep over the pooled CSR.  Pack
-  time is measured separately, mirroring ``compile_ms`` in the kernel
-  bench: one pack serves every analysis on the batch, and the production
-  consumers amortize it over chunks larger than one cell (the
-  ``allin_speedup`` field reports the unamortized ratio honestly).
+  time is measured separately, like index compile time: one pack serves
+  every analysis on the batch, and the production consumers amortize it
+  over chunks larger than one cell (the ``allin_speedup`` field reports the
+  unamortized ratio honestly).
 * **classify micro** — section-3 granularity over the same cell: the
   scalar :func:`~repro.core.metrics.granularity` loop against
   :meth:`GraphBatch.granularities`.
-* **end to end** — the serial Table-1 suite (five paper heuristics,
-  kernels on in both arms) with batching off against batching on;
-  serialized results must be **byte-identical**.  Level analysis is a
-  small slice of suite wall time (scheduling dominates), so this ratio
-  hovers near 1 and its floor is an anti-regression bound, not a win
-  target — the win target is the levels floor.
+* **end to end** — the serial Table-1 suite (five paper heuristics) with
+  batching off against batching on; serialized results must be
+  **byte-identical**. Level analysis is a small slice of suite wall time
+  (scheduling dominates), so this ratio hovers near 1 and its floor is an
+  anti-regression bound, not a win target — the win target is the levels
+  floor.
 
 Speedups are ratios of two runs on the same machine in the same process,
 so the floors checked by ``--check`` are machine-independent; absolute
@@ -29,7 +29,10 @@ times in the baseline JSON are informational only.
 
 from __future__ import annotations
 
+import os
 import platform
+import tempfile
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -43,16 +46,20 @@ from ..generation.random_dag import generate_pdg
 from ..generation.suites import SuiteGraph, generate_suite
 from ..obs.metrics import MetricsRegistry, use_registry
 from ..schedulers import get_scheduler
-from .kernelbench import PAPER_HEURISTICS, SEED, _serialized, floor_violations
+from .persistence import save_results
 from .runner import run_suite
 
 __all__ = [
     "SEED",
+    "PAPER_HEURISTICS",
     "QUICK_FLOORS",
     "FULL_FLOORS",
     "run_benchmark",
     "floor_violations",
 ]
+
+SEED = 19940815
+PAPER_HEURISTICS = ["CLANS", "DSC", "MCP", "MH", "HU"]
 
 #: Minimum speedup ratios enforced by ``--check``.  The full levels floor
 #: is the PR's acceptance target (>= 3.5x batched level computation on a
@@ -208,6 +215,18 @@ def _bench_classify(quick: bool) -> dict:
     }
 
 
+def _serialized(results) -> bytes:
+    """The bytes :func:`save_results` writes for ``results``."""
+    fd, name = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    scratch = Path(name)
+    try:
+        save_results(results, scratch)
+        return scratch.read_bytes()
+    finally:
+        scratch.unlink(missing_ok=True)
+
+
 def _copy_suite(suite: list) -> list:
     return [
         SuiteGraph(cell=sg.cell, index=sg.index, graph=sg.graph.copy())
@@ -280,3 +299,13 @@ def run_benchmark(*, quick: bool = False, graphs_per_cell: int | None = None) ->
         "classify": classify,
         "end_to_end": end_to_end,
     }
+
+
+def floor_violations(payload: dict, floors: dict[str, float]) -> list[str]:
+    """Speedup floors missed by ``payload`` (empty list means all met)."""
+    out = []
+    for section, floor in floors.items():
+        speedup = payload[section]["speedup"]
+        if speedup < floor:
+            out.append(f"{section}: {speedup:.2f}x < required {floor:.1f}x")
+    return out

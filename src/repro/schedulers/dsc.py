@@ -28,8 +28,7 @@ timing rule, so the schedule is emitted directly.
 
 from __future__ import annotations
 
-from ..core.analysis import b_levels_view
-from ..core.kernels import b_levels_arr, graph_index, kernels_enabled
+from ..core.kernels import b_levels_arr, graph_index
 from ..core.schedule import Schedule, _LazySchedule
 from ..core.taskgraph import Task, TaskGraph
 from ..obs.metrics import get_registry
@@ -47,19 +46,14 @@ class DSCScheduler(Scheduler):
         self.use_ct2 = use_ct2
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
-        if kernels_enabled():
-            return self._schedule_kernel(graph)
-        return self._schedule_dict(graph)
-
-    def _schedule_kernel(self, graph: TaskGraph) -> Schedule:
-        """Same algorithm on the compiled index (id == insertion order).
+        """DSC on the compiled index (id == insertion order).
 
         One scan per iteration selects both the top free task and the top
-        partial-free task.  Startbounds are maintained incrementally: when a
-        task is scheduled, each successor's bound takes
-        ``max(bound, finish + c)`` — the same max over the same
-        ``finish[p] + c`` terms the dict path recomputes from scratch (max
-        is order-independent, so the values are bit-identical).
+        partial-free task, by ``(priority, -id)``.  Startbounds are
+        maintained incrementally: when a task is scheduled, each
+        successor's bound takes ``max(bound, finish + c)`` (max is
+        order-independent, so this equals recomputing the bound over the
+        scheduled predecessors).
         """
         gi = graph_index(graph)
         n = gi.n
@@ -125,7 +119,7 @@ class DSCScheduler(Scheduler):
                     if ct1:
                         target = best_c
                 else:
-                    if ct1 and self._ct2_ok_kernel(
+                    if ct1 and self._ct2_ok(
                         ny, best_c, st + weights[nx],
                         startbound[ny], scheduled, cluster_of, pred_rows,
                     ):
@@ -162,7 +156,7 @@ class DSCScheduler(Scheduler):
         registry.inc("dsc.ct2_rejections", n_ct2_rejections)
         return _LazySchedule(rows)
 
-    def _ct2_ok_kernel(
+    def _ct2_ok(
         self,
         ny: int,
         cluster: int,
@@ -171,119 +165,6 @@ class DSCScheduler(Scheduler):
         scheduled: list[bool],
         cluster_of: list[int],
         pred_rows: list[list[tuple[int, float]]],
-    ) -> bool:
-        """CT2 on ids; see :meth:`_ct2_ok` for the rule."""
-        if not self.use_ct2:
-            return True
-        has_parent_here = any(
-            scheduled[p] and cluster_of[p] == cluster for p, _ in pred_rows[ny]
-        )
-        if not has_parent_here:
-            return True
-        return finish_nx <= startbound_ny + 1e-12
-
-    def _schedule_dict(self, graph: TaskGraph) -> Schedule:
-        level = b_levels_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
-
-        finish: dict[Task, float] = {}
-        cluster_of: dict[Task, int] = {}
-        clusters: list[list[Task]] = []
-        cluster_avail: list[float] = []
-        schedule = Schedule()
-
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        unscheduled = set(graph.tasks())
-
-        def startbound(t: Task) -> float:
-            return max(
-                (
-                    finish[p] + c
-                    for p, c in graph.in_edges(t).items()
-                    if p in finish
-                ),
-                default=0.0,
-            )
-
-        def st_on(c: int, t: Task) -> float:
-            start = cluster_avail[c]
-            for p, w in graph.in_edges(t).items():
-                if p in finish:
-                    arrival = finish[p] + (w if cluster_of[p] != c else 0.0)
-                    if arrival > start:
-                        start = arrival
-            return start
-
-        def priority(t: Task) -> float:
-            return startbound(t) + level[t]
-
-        # Local tallies, flushed once per call (keeps the loop allocation-free).
-        n_zeroings = 0
-        n_fresh = 0
-        n_ct2_rejections = 0
-
-        while unscheduled:
-            free = [t for t in unscheduled if n_sched_preds[t] == graph.in_degree(t)]
-            partial = [t for t in unscheduled if n_sched_preds[t] < graph.in_degree(t)]
-            nx = max(free, key=lambda t: (priority(t), -seq[t]))
-            ny = max(partial, key=lambda t: (priority(t), -seq[t])) if partial else None
-
-            sb = startbound(nx)
-            parent_clusters = sorted(
-                {cluster_of[p] for p in graph.predecessors(nx) if p in cluster_of}
-            )
-            target: int | None = None
-            if parent_clusters:
-                best_c = min(parent_clusters, key=lambda c: (st_on(c, nx), c))
-                st = st_on(best_c, nx)
-                ct1 = st <= sb + 1e-12
-                if ny is None or priority(nx) >= priority(ny):
-                    if ct1:
-                        target = best_c
-                else:
-                    if ct1 and self._ct2_ok(
-                        graph, ny, best_c, st + graph.weight(nx),
-                        finish, cluster_of, startbound,
-                    ):
-                        target = best_c
-                    elif ct1:
-                        n_ct2_rejections += 1
-
-            if target is None:
-                # fresh cluster at the lower-bound start time
-                target = len(clusters)
-                clusters.append([])
-                cluster_avail.append(0.0)
-                start = sb
-                n_fresh += 1
-            else:
-                start = st_on(target, nx)
-                n_zeroings += 1
-
-            clusters[target].append(nx)
-            schedule.place(nx, target, start, graph.weight(nx))
-            finish[nx] = start + graph.weight(nx)
-            cluster_avail[target] = finish[nx]
-            cluster_of[nx] = target
-            unscheduled.remove(nx)
-            for s in graph.successors(nx):
-                n_sched_preds[s] += 1
-
-        registry = get_registry()
-        registry.inc("dsc.edge_zeroings", n_zeroings)
-        registry.inc("dsc.fresh_clusters", n_fresh)
-        registry.inc("dsc.ct2_rejections", n_ct2_rejections)
-        return schedule
-
-    def _ct2_ok(
-        self,
-        graph: TaskGraph,
-        ny: Task,
-        cluster: int,
-        finish_nx: float,
-        finish: dict[Task, float],
-        cluster_of: dict[Task, int],
-        startbound,
     ) -> bool:
         """CT2: merging must not delay the higher-priority partial-free task.
 
@@ -295,9 +176,8 @@ class DSCScheduler(Scheduler):
         if not self.use_ct2:
             return True
         has_parent_here = any(
-            p in cluster_of and cluster_of[p] == cluster
-            for p in graph.predecessors(ny)
+            scheduled[p] and cluster_of[p] == cluster for p, _ in pred_rows[ny]
         )
         if not has_parent_here:
             return True
-        return finish_nx <= startbound(ny) + 1e-12
+        return finish_nx <= startbound_ny + 1e-12

@@ -9,11 +9,9 @@ scheduling and provides a sixth comparator for the testbed.
 
 from __future__ import annotations
 
-from ..core.analysis import b_levels_view
-from ..core.kernels import IndexedPool, b_levels_arr, graph_index, kernels_enabled
+from ..core.kernels import IndexedPool, b_levels_arr, graph_index
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
-from ._pool import ProcessorPool
 from .base import Scheduler, register
 
 
@@ -29,12 +27,6 @@ class ETFScheduler(Scheduler):
         self.max_processors = max_processors
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
-        if kernels_enabled():
-            return self._schedule_kernel(graph)
-        return self._schedule_dict(graph)
-
-    def _schedule_kernel(self, graph: TaskGraph) -> Schedule:
-        """Same algorithm on the compiled index (id == insertion order)."""
         gi = graph_index(graph)
         level = b_levels_arr(graph, communication=True)
         pool = IndexedPool(gi, max_processors=self.max_processors)
@@ -44,6 +36,7 @@ class ETFScheduler(Scheduler):
         ready = {i for i in range(gi.n) if indeg[i] == 0}
 
         while ready:
+            # Globally earliest (start, -level) over ready tasks.
             best = None
             for i in ready:
                 proc, start = pool.best_processor(i, insertion=False)
@@ -58,30 +51,4 @@ class ETFScheduler(Scheduler):
                 n_sched_preds[j] += 1
                 if n_sched_preds[j] == indeg[j]:
                     ready.add(j)
-        return pool.schedule
-
-    def _schedule_dict(self, graph: TaskGraph) -> Schedule:
-        level = b_levels_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
-        pool = ProcessorPool(graph, max_processors=self.max_processors)
-
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        ready = {t for t in graph.tasks() if graph.in_degree(t) == 0}
-
-        while ready:
-            # Globally earliest (start, -level) over ready tasks.
-            best = None
-            for task in ready:
-                proc, start = pool.best_processor(task, insertion=False)
-                key = (start, -level[task], seq[task])
-                if best is None or key < best[0]:
-                    best = (key, task, proc, start)
-            assert best is not None
-            _, task, proc, start = best
-            pool.place(task, proc, start)
-            ready.remove(task)
-            for succ in graph.successors(task):
-                n_sched_preds[succ] += 1
-                if n_sched_preds[succ] == graph.in_degree(succ):
-                    ready.add(succ)
         return pool.schedule

@@ -18,10 +18,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from ..core.analysis import b_levels_view
 from ..core.exceptions import ScheduleError
 from ..core.schedule import Schedule
-from ..core.simulator import _priority_topological_order
+from ..core.simulator import _priority_order
 from ..core.taskgraph import Task, TaskGraph
 
 __all__ = ["Transfer", "OnePortResult", "simulate_one_port"]
@@ -73,8 +72,6 @@ def simulate_one_port(
     tasks = set(graph.tasks())
     if set(assignment) != tasks:
         raise ScheduleError("assignment does not cover exactly the graph's tasks")
-    if priority is None:
-        priority = b_levels_view(graph, communication=True)
 
     schedule = Schedule()
     transfers: list[Transfer] = []
@@ -82,7 +79,7 @@ def simulate_one_port(
     send_free: dict[int, float] = {}
     recv_free: dict[int, float] = {}
 
-    for t in _priority_topological_order(graph, priority):
+    for t in _priority_order(graph, priority):
         p = assignment[t]
         start = proc_free.get(p, 0.0)
         for pred, c in graph.in_edges(t).items():

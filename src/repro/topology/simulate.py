@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..core.analysis import b_levels_view
 from ..core.exceptions import ScheduleError
 from ..core.schedule import Schedule
-from ..core.simulator import _priority_topological_order
+from ..core.simulator import _priority_order
 from ..core.taskgraph import Task, TaskGraph
 from .networks import Topology
 
@@ -43,12 +42,10 @@ def simulate_on_topology(
             raise ScheduleError(
                 f"task {t!r} assigned to processor {p} outside {topology!r}"
             )
-    if priority is None:
-        priority = b_levels_view(graph, communication=True)
 
     schedule = Schedule()
     proc_free: dict[int, float] = {}
-    for t in _priority_topological_order(graph, priority):
+    for t in _priority_order(graph, priority):
         p = assignment[t]
         start = proc_free.get(p, 0.0)
         for pred, c in graph.in_edges(t).items():

@@ -54,7 +54,7 @@ from repro.core.batch import use_batch
 from repro.core.exceptions import AdversarialError, GraphError
 from repro.core.taskgraph import TaskGraph
 from repro.core.wire import graph_digest, graph_to_wire
-from repro.experiments.kernelbench import _serialized
+from repro.experiments.batchbench import _serialized
 from repro.experiments.runner import run_suite
 from repro.generation.random_dag import generate_pdg
 from repro.generation.suites import (

@@ -2,12 +2,11 @@
 
 The batch layer's whole contract is "invisible except for speed": every
 number it primes must be *bitwise* equal to what the per-graph kernels
-(and therefore the dict reference paths) would compute lazily, under
-every combination of ``REPRO_BATCH`` x ``REPRO_KERNELS``, and a suite
-run with batching on must serialize byte-identically to one with it
-off.  CI's ``batch-smoke`` job runs this file twice — once with
-``REPRO_BATCH=1`` and once with ``=0`` — so the assertions here are
-written against explicit ``use_batch``/``use_kernels`` toggles, never
+compute lazily and to the dict oracles in ``tests/reference.py``, with
+batching on or off, and a suite run with batching on must serialize
+byte-identically to one with it off.  CI's ``batch-smoke`` job runs this
+file twice — once with ``REPRO_BATCH=1`` and once with ``=0`` — so the
+assertions here are written against explicit ``use_batch`` toggles, never
 against the ambient environment.
 """
 
@@ -27,7 +26,7 @@ from repro.core.batch import (
     use_batch,
 )
 from repro.core.exceptions import CycleError, GraphError
-from repro.core.kernels import GraphIndex, graph_index, use_kernels
+from repro.core.kernels import GraphIndex, graph_index
 from repro.core.metrics import (
     anchor_out_degree,
     granularity,
@@ -36,6 +35,8 @@ from repro.core.metrics import (
 )
 from repro.generation.random_dag import generate_pdg
 from repro.obs.metrics import MetricsRegistry, use_registry
+
+import reference
 
 SEED = 19940815
 
@@ -95,17 +96,15 @@ GRAPHS = [g for _, g in CORPUS]
 
 
 def _reference_levels(g: TaskGraph) -> dict:
-    """Dict-path analysis on a fresh copy (the ground truth both the
-    kernels and the batch must match bit for bit)."""
-    with use_kernels(False):
-        ref = g.copy()
-        return {
-            "t": t_levels(ref, communication=True),
-            "t0": t_levels(ref, communication=False),
-            "b": b_levels(ref, communication=True),
-            "hu": hu_levels(ref),
-            "alap": alap_times(ref, communication=True),
-        }
+    """The dict oracles' analysis (the ground truth both the kernels and
+    the batch must match bit for bit)."""
+    return {
+        "t": reference.t_levels(g, communication=True),
+        "t0": reference.t_levels(g, communication=False),
+        "b": reference.b_levels(g, communication=True),
+        "hu": reference.hu_levels(g),
+        "alap": reference.alap_times(g, communication=True),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -118,26 +117,18 @@ class TestToggles:
     def test_use_batch_nests_and_restores(self):
         initial = batch_mod._enabled
         with use_batch(True):
-            with use_kernels(True):
-                assert batch_enabled()
+            assert batch_enabled()
             with use_batch(False):
                 assert not batch_enabled()
                 with use_batch(True):
-                    with use_kernels(True):
-                        assert batch_enabled()
+                    assert batch_enabled()
                 assert not batch_enabled()
         assert batch_mod._enabled == initial
-
-    def test_batch_requires_kernels(self):
-        # The batch packs compiled indexes: REPRO_KERNELS=0 disables it too.
-        with use_batch(True), use_kernels(False):
-            assert not batch_enabled()
-            assert batch_analyze([GRAPHS[0].copy()]) == 0
 
     def test_degrades_without_numpy(self, monkeypatch):
         monkeypatch.setattr(batch_mod, "_np", None)
         assert not numpy_available()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             assert not batch_enabled()
             assert batch_analyze([GRAPHS[0].copy()]) == 0
         with pytest.raises(RuntimeError):
@@ -145,7 +136,7 @@ class TestToggles:
 
 
 # ----------------------------------------------------------------------
-# pooled level sweeps: bitwise equal to the dict reference paths
+# pooled level sweeps: bitwise equal to the dict oracles
 # ----------------------------------------------------------------------
 class TestBatchLevelEquivalence:
     @pytest.fixture(scope="class")
@@ -266,7 +257,7 @@ class TestClassificationEquivalence:
 class TestBatchAnalyze:
     def test_primes_the_kernel_memo_keys(self):
         g = GRAPHS[2].copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             assert batch_analyze([g]) == 1
         for key in batch_mod._LEVEL_KEYS + (batch_mod._KEY_SERIAL,):
             assert g.has_cached(key)
@@ -274,7 +265,7 @@ class TestBatchAnalyze:
     def test_primed_values_equal_lazy_values(self):
         g = GRAPHS[3]
         primed = g.copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             batch_analyze([primed])
             ref = _reference_levels(g)
             assert t_levels(primed, communication=True) == ref["t"]
@@ -285,7 +276,7 @@ class TestBatchAnalyze:
     def test_dedup_and_already_primed_counters(self):
         g = GRAPHS[4].copy()
         registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True), use_kernels(True):
+        with use_registry(registry), use_batch(True):
             assert batch_analyze([g, g, g]) == 1  # deduped by identity
             assert batch_analyze([g]) == 0  # memos already primed
         counters = registry.counters()
@@ -300,7 +291,7 @@ class TestBatchAnalyze:
         # recompile.
         g = GRAPHS[5].copy()
         registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True), use_kernels(True):
+        with use_registry(registry), use_batch(True):
             gi = graph_index(g)  # pre-compile
             batch_analyze([g])
             assert graph_index(g) is gi  # still the same compiled object
@@ -315,7 +306,7 @@ class TestBatchAnalyze:
         cyc.add_edge("a", "b", 1)
         cyc.add_edge("b", "a", 1)
         ok = GRAPHS[1].copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             assert batch_analyze([cyc, ok]) == 1  # cyclic graph skipped
             with pytest.raises(CycleError):
                 t_levels(cyc)  # the on-demand path still reports it
@@ -334,7 +325,7 @@ class TestBatchAnalyze:
 
         ok1, ok2 = GRAPHS[1].copy(), GRAPHS[2].copy()
         registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True), use_kernels(True):
+        with use_registry(registry), use_batch(True):
             report = batch_analyze([_cycle(), ok1, _cycle(), ok2])
         assert isinstance(report, batch_mod.BatchReport)
         assert report == 2
@@ -350,7 +341,7 @@ class TestBatchAnalyze:
             cyc.add_edge("b", "a", 1)
             return cyc
 
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             report = batch_analyze([_cycle(), _cycle()])
         assert report == 0
         assert report.skipped == (0, 1)
@@ -360,7 +351,7 @@ class TestBatchAnalyze:
         with use_batch(False):
             report = batch_analyze([g])
         assert report == 0 and report.skipped == ()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             report = batch_analyze([])
         assert report == 0 and report.skipped == ()
 
@@ -373,7 +364,7 @@ class TestBatchAnalyze:
 
     def test_mutation_invalidates_primed_memos(self):
         g = GRAPHS[7].copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             batch_analyze([g])
             assert g.has_cached(batch_mod._KEY_T)
             g.add_task("fresh", 1.0)
@@ -385,36 +376,43 @@ class TestBatchAnalyze:
 
 
 # ----------------------------------------------------------------------
-# the REPRO_BATCH x REPRO_KERNELS matrix: four ways, one answer
+# batching on/off x two ground truths: four ways, one answer
 # ----------------------------------------------------------------------
+def _analysis(work: TaskGraph) -> dict:
+    entry = {
+        "t": t_levels(work, communication=True),
+        "b": b_levels(work, communication=True),
+        "hu": hu_levels(work),
+        "alap": alap_times(work, communication=True),
+        "serial": work.serial_time(),
+    }
+    try:
+        entry["gran"] = granularity(work)
+    except GraphError:
+        entry["gran"] = None
+    return entry
+
+
 class TestFallbackMatrix:
-    @pytest.mark.parametrize("kernels_on", [False, True], ids=["k0", "k1"])
+    # b: whether batch_analyze primes the memos first.  k: the ground truth
+    # — k0 the dict oracles (levels only), k1 the lazily computed per-graph
+    # kernels on a fresh copy (every field, serial time and granularity too).
+    @pytest.mark.parametrize("per_graph_truth", [False, True], ids=["k0", "k1"])
     @pytest.mark.parametrize("batch_on", [False, True], ids=["b0", "b1"])
-    def test_all_four_combinations_bit_identical(self, batch_on, kernels_on):
-        results = []
+    def test_all_four_combinations_bit_identical(self, batch_on, per_graph_truth):
         for name, g in CORPUS[:8] + _edge_case_graphs():
             work = g.copy()
-            with use_batch(batch_on), use_kernels(kernels_on):
-                batch_analyze([work])  # no-op unless both layers are on
-                entry = {
-                    "t": t_levels(work, communication=True),
-                    "b": b_levels(work, communication=True),
-                    "hu": hu_levels(work),
-                    "alap": alap_times(work, communication=True),
-                    "serial": work.serial_time(),
-                }
-                try:
-                    entry["gran"] = granularity(work)
-                except GraphError:
-                    entry["gran"] = None
-            results.append((name, entry))
-        for name, entry in results:
-            _, g = next(c for c in CORPUS if c[0] == name)
-            ref = _reference_levels(g)
-            assert entry["t"] == ref["t"], name
-            assert entry["b"] == ref["b"], name
-            assert entry["hu"] == ref["hu"], name
-            assert entry["alap"] == ref["alap"], name
+            with use_batch(batch_on):
+                batch_analyze([work])  # no-op with batching off
+                entry = _analysis(work)
+            if per_graph_truth:
+                with use_batch(False):
+                    assert entry == _analysis(g.copy()), name
+            else:
+                ref = _reference_levels(g)
+                for key in ("t", "b", "hu", "alap"):
+                    assert entry[key] == ref[key], name
+                    assert list(entry[key]) == list(ref[key]), name
 
 
 # ----------------------------------------------------------------------
@@ -442,10 +440,10 @@ class TestSuiteByteIdentity:
         ]
 
     def _run(self, suite, scheds, *, batch_on, jobs=1):
-        from repro.experiments.kernelbench import _serialized
+        from repro.experiments.batchbench import _serialized
         from repro.experiments.runner import run_suite
 
-        with use_batch(batch_on), use_kernels(True):
+        with use_batch(batch_on):
             results = run_suite(self._fresh(suite), scheds, seed=SEED, jobs=jobs)
         return _serialized(results)
 

@@ -1,12 +1,13 @@
-"""Seeded equivalence sweep: indexed kernels vs the dict implementations.
+"""Seeded equivalence sweep: the compiled production paths vs the oracles.
 
-The kernels (``repro.core.kernels``) promise *bit-identical* results to the
-dict-based reference paths — same floats, same tie-breaks, same dict
-ordering.  These tests sweep seeded random PDGs across the paper's testbed
-axes (granularity band, anchor, weight range) plus degenerate shapes
-(single node, chain, fork-join, zero-cost edges) and assert exact equality
-between the two backends at every layer: levels, critical path, the
-simulator, the rewritten schedulers, and the clan decomposition.
+Production runs on the indexed kernels (``repro.core.kernels``); the
+dict-based oracles in ``tests/reference.py`` compute the same quantities
+directly on ``Task`` keys.  The two must agree *bit for bit* — same floats,
+same tie-breaks, same dict ordering.  These tests sweep seeded random PDGs
+across the paper's testbed axes (granularity band, anchor, weight range)
+plus degenerate shapes (single node, chain, fork-join, zero-cost edges) and
+assert exact equality at every layer: levels, critical path, the
+simulator, the schedulers, and the clan decomposition.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ from repro.core.kernels import (
     GraphIndex,
     b_levels_arr,
     graph_index,
-    kernels_enabled,
     t_levels_arr,
-    use_kernels,
 )
 from repro.core.simulator import simulate_clustering, simulate_ordered
 from repro.generation.random_dag import generate_pdg
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.schedulers import get_scheduler
 
+import reference
+
 SEED = 19940815
-REWRITTEN = ["DSC", "MCP", "MH", "HU", "ETF", "HLFET", "CLANS"]
+REWRITTEN = ["DSC", "MCP", "MH", "HU", "ETF", "HLFET", "DLS", "CLANS"]
 
 
 # ----------------------------------------------------------------------
@@ -123,18 +124,6 @@ class TestGraphIndex:
         assert gi2 is not gi1
         assert gi2.n == gi1.n + 1
 
-    def test_use_kernels_toggle_nests_and_restores(self):
-        initial = kernels_enabled()  # REPRO_KERNELS may override the default
-        with use_kernels(True):
-            assert kernels_enabled()
-            with use_kernels(False):
-                assert not kernels_enabled()
-                with use_kernels(True):
-                    assert kernels_enabled()
-                assert not kernels_enabled()
-            assert kernels_enabled()
-        assert kernels_enabled() == initial
-
 
 # ----------------------------------------------------------------------
 # levels / critical path
@@ -143,18 +132,14 @@ class TestLevelEquivalence:
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     @pytest.mark.parametrize("comm", [True, False])
     def test_levels_exactly_equal(self, g, comm):
-        # memoized per graph, so compute each backend on its own copy
-        with use_kernels(False):
-            ref = g.copy()
-            tl_d = t_levels(ref, communication=comm)
-            bl_d = b_levels(ref, communication=comm)
-            alap_d = alap_times(ref, communication=comm)
-        with use_kernels(True):
-            ker = g.copy()
-            tl_k = t_levels(ker, communication=comm)
-            bl_k = b_levels(ker, communication=comm)
-            alap_k = alap_times(ker, communication=comm)
-        # == on dicts ignores order; the kernels promise bit-equal floats
+        tl_d = reference.t_levels(g, communication=comm)
+        bl_d = reference.b_levels(g, communication=comm)
+        alap_d = reference.alap_times(g, communication=comm)
+        ker = g.copy()  # production memoizes per graph: start cold
+        tl_k = t_levels(ker, communication=comm)
+        bl_k = b_levels(ker, communication=comm)
+        alap_k = alap_times(ker, communication=comm)
+        # == on dicts ignores order; production promises bit-equal floats
         # AND identical insertion order (callers iterate these dicts).
         assert tl_d == tl_k and list(tl_d) == list(tl_k)
         assert bl_d == bl_k and list(bl_d) == list(bl_k)
@@ -162,16 +147,13 @@ class TestLevelEquivalence:
 
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_hu_levels_and_critical_path(self, g):
-        with use_kernels(False):
-            ref = g.copy()
-            hu_d = hu_levels(ref)
-            cp_d = critical_path(ref, communication=True)
-            cpn_d = critical_path(ref, communication=False)
-        with use_kernels(True):
-            ker = g.copy()
-            hu_k = hu_levels(ker)
-            cp_k = critical_path(ker, communication=True)
-            cpn_k = critical_path(ker, communication=False)
+        hu_d = reference.hu_levels(g)
+        cp_d = reference.critical_path(g, communication=True)
+        cpn_d = reference.critical_path(g, communication=False)
+        ker = g.copy()
+        hu_k = hu_levels(ker)
+        cp_k = critical_path(ker, communication=True)
+        cpn_k = critical_path(ker, communication=False)
         assert hu_d == hu_k and list(hu_d) == list(hu_k)
         assert cp_d == cp_k
         assert cpn_d == cpn_k
@@ -181,9 +163,8 @@ class TestLevelEquivalence:
         gi = graph_index(g)
         tl = t_levels_arr(g, communication=True)
         bl = b_levels_arr(g, communication=True)
-        with use_kernels(False):
-            tl_d = t_levels(g.copy(), communication=True)
-            bl_d = b_levels(g.copy(), communication=True)
+        tl_d = reference.t_levels(g, communication=True)
+        bl_d = reference.b_levels(g, communication=True)
         for t in g.tasks():
             i = gi.index_of[t]
             assert tl[i] == tl_d[t]
@@ -202,41 +183,38 @@ class TestSimulatorEquivalence:
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_simulate_ordered_identical(self, g):
         clusters = _chain_split_clusters(g)
-        with use_kernels(False):
-            ref = simulate_ordered(g.copy(), clusters)
-        with use_kernels(True):
-            ker = simulate_ordered(g.copy(), clusters)
+        ref = reference.simulate_ordered(g, clusters)
+        ker = simulate_ordered(g.copy(), clusters)
         assert ref.to_dict() == ker.to_dict()
 
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_simulate_clustering_identical(self, g):
         assignment = {t: i % 3 for i, t in enumerate(g.tasks())}
-        with use_kernels(False):
-            ref = simulate_clustering(g.copy(), assignment)
-        with use_kernels(True):
-            ker = simulate_clustering(g.copy(), assignment)
+        ref = reference.simulate_clustering(g, assignment)
+        ker = simulate_clustering(g.copy(), assignment)
         assert ref.to_dict() == ker.to_dict()
 
+    # flag True runs production, False the reference oracle
     @pytest.mark.parametrize("flag", [True, False])
     def test_validation_hoisted_behind_flag(self, flag):
+        simulate = simulate_ordered if flag else reference.simulate_ordered
         g = GRAPHS[0]
         tasks = list(g.tasks())
         duplicated = [tasks, [tasks[0]]]
-        with use_kernels(flag):
-            with pytest.raises(ScheduleError, match="more than one cluster"):
-                simulate_ordered(g, duplicated)
-            with pytest.raises(ScheduleError, match="not clustered"):
-                simulate_ordered(g, [tasks[:-1]])
+        with pytest.raises(ScheduleError, match="more than one cluster"):
+            simulate(g, duplicated)
+        with pytest.raises(ScheduleError, match="not clustered"):
+            simulate(g, [tasks[:-1]])
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_deadlocking_order_raises_in_both_modes(self, flag):
+        simulate = simulate_ordered if flag else reference.simulate_ordered
         g = TaskGraph()
         for t in "ab":
             g.add_task(t, 1)
         g.add_edge("a", "b", 1)
-        with use_kernels(flag):
-            with pytest.raises(ScheduleError, match="deadlock"):
-                simulate_ordered(g, [["b", "a"]])
+        with pytest.raises(ScheduleError, match="deadlock"):
+            simulate(g, [["b", "a"]])
 
 
 # ----------------------------------------------------------------------
@@ -246,15 +224,22 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("name", REWRITTEN)
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_schedules_placement_identical(self, name, g):
-        with use_kernels(False):
-            ref = get_scheduler(name).schedule(g).to_dict()
-        with use_kernels(True):
-            ker = get_scheduler(name).schedule(g).to_dict()
+        ref = reference.SCHEDULERS[name](g).to_dict()
+        ker = get_scheduler(name).schedule(g.copy()).to_dict()
         assert ref == ker
+
+    @pytest.mark.parametrize("name", ["MCP", "MH", "HU", "ETF", "HLFET", "DLS"])
+    def test_bounded_pool_placement_identical(self, name):
+        oracle = reference.SCHEDULERS[name]
+        for g in GRAPHS:
+            ref = oracle(g, max_processors=2).to_dict()
+            sched = type(get_scheduler(name))(max_processors=2)
+            ker = sched.schedule(g.copy()).to_dict()
+            assert ref == ker
 
 
 # ----------------------------------------------------------------------
-# clan decomposition (bitset backend vs numpy backend)
+# clan decomposition (production bitsets vs the numpy oracle)
 # ----------------------------------------------------------------------
 def _tree_shape(node):
     if node.is_leaf:
@@ -265,10 +250,8 @@ def _tree_shape(node):
 class TestDecompositionEquivalence:
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_trees_identical(self, g):
-        with use_kernels(False):
-            ref = _tree_shape(decompose(g))
-        with use_kernels(True):
-            ker = _tree_shape(decompose(g))
+        ref = _tree_shape(reference.decompose(g))
+        ker = _tree_shape(decompose(g))
         assert ref == ker
 
 

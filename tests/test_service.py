@@ -302,7 +302,6 @@ class TestBatchingByDigest:
         # vectorize their analysis (counter fires) and every response must
         # still be byte-identical to a direct library call
         from repro.core.batch import use_batch
-        from repro.core.kernels import use_kernels
 
         with ServerThread(port=0, threads=1, batch_max=32) as st:
             graphs = [fork_join(k, stages=2) for k in range(3, 9)]
@@ -320,7 +319,7 @@ class TestBatchingByDigest:
                     after = await ac.stats()
                     return results, before, after
 
-            with use_kernels(True), use_batch(True):
+            with use_batch(True):
                 results, before, after = asyncio.run(run())
 
             def delta(key):

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ScheduleError, TaskGraph, serial_schedule, simulate_clustering, simulate_ordered
+from repro import (
+    ReproError,
+    ScheduleError,
+    TaskGraph,
+    serial_schedule,
+    simulate_clustering,
+    simulate_ordered,
+)
 
 
 class TestSimulateOrdered:
@@ -109,3 +116,37 @@ class TestSerialSchedule:
 
     def test_speedup_is_one(self, paper_example):
         assert serial_schedule(paper_example).speedup(paper_example) == pytest.approx(1.0)
+
+
+@pytest.fixture
+def cyclic() -> TaskGraph:
+    """a -> b -> c -> a: not a DAG (TaskGraph.add_edge does not check)."""
+    g = TaskGraph()
+    for t in "abc":
+        g.add_task(t, 1)
+    g.add_edge("a", "b", 1)
+    g.add_edge("b", "c", 1)
+    g.add_edge("c", "a", 1)
+    return g
+
+
+class TestCyclicInput:
+    @pytest.mark.parametrize(
+        "clusters", [[["a", "b", "c"]], [["a"], ["b"], ["c"]]], ids=["one", "three"]
+    )
+    def test_simulate_ordered_reports_deadlock(self, cyclic, clusters):
+        with pytest.raises(ScheduleError, match="clustering deadlocks") as exc:
+            simulate_ordered(cyclic, clusters)
+        assert exc.type is ScheduleError
+
+    @pytest.mark.parametrize(
+        "priority", [None, {"a": 1, "b": 2, "c": 3}], ids=["b-level", "given"]
+    )
+    def test_simulate_clustering_reports_cycle(self, cyclic, priority):
+        with pytest.raises(ScheduleError, match="cycle") as exc:
+            simulate_clustering(cyclic, {"a": 0, "b": 1, "c": 0}, priority=priority)
+        assert exc.type is ScheduleError
+
+    def test_serial_schedule_raises_library_error(self, cyclic):
+        with pytest.raises(ReproError):
+            serial_schedule(cyclic)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -248,6 +251,17 @@ class TestInterop:
         nxg = diamond.to_networkx()
         assert nxg.nodes["a"]["weight"] == 10.0
         assert nxg.edges["a", "b"]["weight"] == 4.0
+
+    def test_import_does_not_load_networkx(self):
+        # networkx is imported lazily by to_networkx only.
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, repro; print('networkx' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_dict_roundtrip(self, paper_example):
         data = json.loads(json.dumps(paper_example.to_dict()))

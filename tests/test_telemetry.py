@@ -472,12 +472,12 @@ class TestBenchTrack:
     def _seed_tree(self, root, *, speedup: float) -> None:
         out = root / "benchmarks" / "out"
         out.mkdir(parents=True)
-        (out / "BENCH_kernels.json").write_text(
+        (out / "BENCH_batch.json").write_text(
             json.dumps(
                 {
                     "levels": {"speedup": speedup},
-                    "simulator": {"speedup": 3.5},
-                    "end_to_end": {"speedup": 2.2},
+                    "classify": {"speedup": 6.0},
+                    "end_to_end": {"speedup": 1.05},
                 }
             )
         )
@@ -497,10 +497,10 @@ class TestBenchTrack:
         assert benchtrack.run_track(root=tmp_path, check=True) == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out
-        assert "kernels:levels/speedup" in out
+        assert "batch:levels/speedup" in out
 
     def _seed_tree_update(self, root, *, speedup: float) -> None:
-        path = root / "benchmarks" / "out" / "BENCH_kernels.json"
+        path = root / "benchmarks" / "out" / "BENCH_batch.json"
         payload = json.loads(path.read_text())
         payload["levels"]["speedup"] = speedup
         path.write_text(json.dumps(payload))
