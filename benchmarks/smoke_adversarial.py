@@ -20,8 +20,8 @@ One continuous scenario over a temporary instance store:
 3. ``repro adversarial promote`` admits it to the ``adversarial`` graph
    class (replay-verifying again on the way in); ``list`` must show it.
 4. The promoted instance is consumed by ``run_suite`` exactly like any
-   random graph: batch-on, batch-off, and ``jobs=2`` parallel runs must
-   serialize **byte-identically**.
+   random graph: serial and ``jobs=2`` parallel runs must serialize
+   **byte-identically**.
 
 Exits 0 when every assertion holds, 1 with a diagnostic otherwise.
 """
@@ -37,8 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.batch import use_batch
-from repro.experiments.batchbench import _serialized
+from repro.experiments.advbench import _serialized
 from repro.experiments.runner import run_suite
 from repro.generation.suites import adversarial_suite
 
@@ -114,21 +113,16 @@ def main() -> int:
     check(proc.returncode == 0 and digest[:16] in proc.stdout,
           f"promoted instance missing from list: {proc.stdout!r}")
 
-    print("phase 4: suite consumption — batch on/off/parallel byte identity")
+    print("phase 4: suite consumption — serial/parallel byte identity")
     suite = list(adversarial_suite(store))
     check(len(suite) == 1, f"expected 1 promoted suite graph, got {len(suite)}")
     check(suite[0].graph_id == f"adv-{digest[:12]}",
           f"unexpected suite graph id {suite[0].graph_id}")
-    with use_batch(True):
-        batched = _serialized(run_suite(list(suite), None, seed=SEED))
-    with use_batch(False):
-        unbatched = _serialized(run_suite(list(suite), None, seed=SEED))
+    serial = _serialized(run_suite(list(suite), None, seed=SEED))
     parallel = _serialized(run_suite(list(suite), None, seed=SEED, jobs=2))
-    check(batched == unbatched,
-          f"batch on/off results differ ({len(batched)} vs {len(unbatched)} bytes)")
-    check(batched == parallel,
-          f"serial/parallel results differ ({len(batched)} vs {len(parallel)} bytes)")
-    print(f"  byte identity : batch on == off == jobs=2 ({len(batched)} bytes)")
+    check(serial == parallel,
+          f"serial/parallel results differ ({len(serial)} vs {len(parallel)} bytes)")
+    print(f"  byte identity : serial == jobs=2 ({len(serial)} bytes)")
 
     print("adversarial smoke: all scenarios passed")
     return 0

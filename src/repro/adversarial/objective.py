@@ -13,13 +13,12 @@ scalar *gap* between two schedulers, which the search policies in
   same critical-path normalization).
 
 Both evaluate whole *neighborhoods* in one call: :meth:`Objective.score_many`
-fans the candidate graphs through :func:`repro.core.batch.batch_analyze`
-first, so every level/classification memo both schedulers will touch is
-primed by one pooled numpy pass, and the schedulers themselves then run on
-warm caches.  A candidate the batch refuses (cyclic — which a correct
-perturbation op can never produce) scores ``None`` rather than being
-silently evaluated against stale memos; so does a candidate on which
-either scheduler raises.
+passes the candidate graphs through :func:`repro.core.batch.batch_analyze`
+first, which primes the level memos both schedulers read and reports any
+cyclic candidate.  A refused candidate (cyclic — which a correct
+perturbation op can never produce) scores ``None`` instead of raising from
+deep inside a scheduler; so does a candidate on which either scheduler
+raises.
 """
 
 from __future__ import annotations
@@ -77,14 +76,12 @@ class Objective(ABC):
         return self._gap(graph, ms_a, ms_b)
 
     def score_many(self, graphs: Sequence[TaskGraph]) -> list[float | None]:
-        """Score a whole neighborhood: one pooled batch pass, then the
-        schedulers on primed memos.
+        """Score a whole neighborhood: one :func:`batch_analyze` call,
+        then the schedulers on primed memos.
 
-        Candidates the batch layer refused as cyclic score ``None``
-        outright — a refused candidate means a broken perturbation op, and
-        evaluating it anyway would raise from deep inside a scheduler.
-        With batching disabled the pass is a no-op (``skipped`` empty) and
-        every candidate is scored on the lazy per-graph path, identically.
+        Candidates it refused as cyclic score ``None`` outright — a
+        refused candidate means a broken perturbation op, and evaluating
+        it anyway would raise from deep inside a scheduler.
         """
         report = batch_analyze(graphs)
         if report.skipped:

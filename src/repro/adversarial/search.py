@@ -4,9 +4,8 @@
 (:mod:`repro.adversarial.env`), maximizing an
 :class:`~repro.adversarial.objective.Objective`.  Each step materializes a
 whole neighborhood of candidate graphs and scores it through
-``Objective.score_many`` — i.e. one pooled
-:func:`repro.core.batch.batch_analyze` sweep per step, not one compile per
-candidate.
+``Objective.score_many``, which screens out cyclic candidates with one
+:func:`repro.core.batch.batch_analyze` call per step.
 
 Two policies ship, behind one deliberately small interface
 (:class:`SearchPolicy`): a greedy hill-climber with restarts and simulated

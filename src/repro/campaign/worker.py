@@ -12,10 +12,7 @@ Execution reuses the suite runner verbatim (``run_suite`` with
 ``on_error="record"`` and the spec's timeout/retry fault policy), so a
 unit's results and failure records are the *same objects* a serial run
 would produce — the byte-identity of the merged campaign is inherited,
-not re-implemented.  That includes the batch layer: a worker's
-regenerated graph slice is pre-analyzed in vectorized chunks by the
-runner's :func:`~repro.core.batch.batch_analyze` pass (and falls back
-per-graph under ``REPRO_BATCH=0``), with no campaign-side code.
+not re-implemented.
 
 Heartbeats run on their own thread **and their own connection**: the
 main connection blocks for a unit's whole compute time inside

@@ -8,7 +8,7 @@ Subcommands::
     repro-sched experiment --graphs-per-cell 4 [--tables 2,3,4] [--figures 1,2]
     repro-sched workload  fft --param 3 -o fft.json
     repro-sched stats     <results.json | trace.jsonl>
-    repro-sched bench     batch|adversarial|track [--quick] [--check]
+    repro-sched bench     adversarial|track [--quick] [--check]
     repro-sched serve     [--port 29267 | --socket PATH] [--workers 2]
     repro-sched submit    <graph.json> --heuristic DSC [--json] [--deadline-ms 250]
     repro-sched top       [--host H --port P | --socket PATH] [--interval 2]
@@ -473,42 +473,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             label=args.label,
         )
 
-    if args.target == "adversarial":
-        return _bench_adversarial(args)
-
-    from .experiments.batchbench import (
-        FULL_FLOORS,
-        QUICK_FLOORS,
-        floor_violations,
-        run_benchmark,
-    )
-
-    payload = run_benchmark(quick=args.quick, graphs_per_cell=args.graphs_per_cell)
-    sections = ("levels", "classify", "end_to_end")
-    for name in sections:
-        sec = payload[name]
-        print(f"{name:<11s}: {sec['speedup']:6.2f}x  identical={sec['identical']}")
-
-    if not args.check:
-        out = Path(args.out or f"benchmarks/out/BENCH_{args.target}.json")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=1) + "\n")
-        print(f"pinned baseline to {out}")
-
-    if not all(payload[name]["identical"] for name in sections):
-        print(
-            "FAIL: batched results diverge from the per-graph paths",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check:
-        floors = QUICK_FLOORS if args.quick else FULL_FLOORS
-        missed = floor_violations(payload, floors)
-        if missed:
-            for line in missed:
-                print(f"FAIL: {line}", file=sys.stderr)
-            return 2
-    return 0
+    return _bench_adversarial(args)
 
 
 def _bench_adversarial(args: argparse.Namespace) -> int:
@@ -1173,10 +1138,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "target",
-        choices=["batch", "adversarial", "track"],
-        help="which benchmark action to run (batch: pooled SoA sweeps vs "
-        "per-graph kernels; adversarial: "
-        "fixed-seed hunt quality and throughput; track: record/check the "
+        choices=["adversarial", "track"],
+        help="which benchmark action to run (adversarial: fixed-seed hunt "
+        "quality and throughput; track: record/check the "
         "BENCH_history.jsonl perf ledger)",
     )
     p.add_argument(
@@ -1185,7 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="batch/adversarial: enforce floors instead of re-pinning the "
+        help="adversarial: enforce floors instead of re-pinning the "
         "baseline; track: fail on regression instead of appending an entry",
     )
     p.add_argument("--graphs-per-cell", type=int, default=None)
@@ -1245,7 +1209,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         metavar="N",
-        help="max requests drained per dispatch round (default %(default)s)",
+        help="max requests drained per dispatch round and grouped by graph "
+        "digest, so a group shares one decode and index compile "
+        "(default %(default)s)",
     )
     p.add_argument(
         "--workers",

@@ -43,10 +43,9 @@ def granularity(graph: TaskGraph) -> float:
     make the ratio infinite; since the generator never produces zero-weight
     edges we treat it as an error rather than returning ``inf`` silently.
 
-    Memoized per graph version under ``"metrics.granularity"`` — the key
-    :func:`repro.core.batch.batch_analyze` primes with a bitwise-identical
-    vectorized computation (graphs where the value is undefined are never
-    primed, so the errors above still raise here on demand).
+    Memoized per graph version under ``"metrics.granularity"``; an
+    undefined value is never memoized, so the errors above raise on every
+    call.
     """
     return graph.cached("metrics.granularity", lambda: _granularity(graph))
 

@@ -104,14 +104,6 @@ class TaskGraph:
                 value = self._scratch[key] = compute()
                 return value
 
-    def has_cached(self, key: Hashable) -> bool:
-        """Whether ``key`` is currently memoized (lock-free probe).
-
-        Lets batch producers (:func:`repro.core.batch.batch_analyze`) skip
-        graphs whose analyses are already primed without recomputing them.
-        """
-        return key in self._scratch
-
     def uncache(self, key: Hashable) -> None:
         """Drop one memoized entry (no-op if absent).
 
@@ -321,9 +313,7 @@ class TaskGraph:
     def serial_time(self) -> float:
         """Total work — execution time on a single processor (paper section 4).
 
-        Memoized per graph version under ``"serial_time"`` — the key
-        :func:`repro.core.batch.batch_analyze` primes with a per-graph
-        Python left-fold sum, bitwise-identical to this one.
+        Memoized per graph version under ``"serial_time"``.
         """
         return self.cached("serial_time", lambda: sum(self._weight.values()))
 

@@ -26,7 +26,10 @@ vary by machine (the perf ledger tracks those with a wide tolerance).
 
 from __future__ import annotations
 
+import os
 import platform
+import tempfile
+from pathlib import Path
 from time import perf_counter
 
 from ..adversarial.objective import baseline_gap, make_objective
@@ -34,7 +37,7 @@ from ..adversarial.search import hunt
 from ..adversarial.store import InstanceRecord, build_base_graph, verify_replay, wire_record
 from ..generation.suites import generate_suite
 from ..obs.metrics import MetricsRegistry, use_registry
-from .batchbench import SEED
+from .persistence import save_results
 
 __all__ = [
     "SEED",
@@ -43,6 +46,8 @@ __all__ = [
     "run_benchmark",
     "floor_violations",
 ]
+
+SEED = 19940815
 
 #: The hunted pair and objective: how badly CLANS can be made to lose to
 #: DSC, as a makespan ratio (the ROADMAP's worked example).
@@ -67,6 +72,18 @@ BASE_SPEC = {
 #: search, ops or schedulers changed behavior, not a slow machine.
 QUICK_FLOORS = {"best_gap": 2.0}  # fixed-seed quick run finds 2.344
 FULL_FLOORS = {"best_gap": 1.5}  # fixed-seed full run finds 1.719
+
+
+def _serialized(results) -> bytes:
+    """The bytes :func:`save_results` writes for ``results``."""
+    fd, name = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    scratch = Path(name)
+    try:
+        save_results(results, scratch)
+        return scratch.read_bytes()
+    finally:
+        scratch.unlink(missing_ok=True)
 
 
 def floor_violations(payload: dict, floors: dict) -> list[str]:
@@ -177,7 +194,7 @@ def run_benchmark(*, quick: bool = False, graphs_per_cell: int | None = None) ->
                 "steps": counters.get("adv.steps", 0.0),
                 "accepted": counters.get("adv.accepted", 0.0),
                 "evaluated": counters.get("adv.evaluated", 0.0),
-                "batches": counters.get("batch.batches", 0.0),
+                "batches": registry.timer_stats("batch.analyze").count,
             },
         },
     }

@@ -5,8 +5,8 @@ baseline; this module turns those point-in-time files into a *trajectory*:
 
 * :func:`collect_metrics` ingests every ``BENCH_*.json`` it can find and
   extracts the **tracked metrics** — the handful of numbers the repo has
-  promised not to regress (batch speedups, parallel-suite speedup,
-  service throughput, batching effectiveness, disabled-telemetry
+  promised not to regress (parallel-suite speedup, service
+  throughput, request-batching effectiveness, disabled-telemetry
   overhead);
 * ``repro bench track`` appends one entry per PR to ``BENCH_history.jsonl``
   at the repo root (newest last, append-only — the file *is* the
@@ -72,17 +72,11 @@ class TrackedMetric:
         return f"{self.file.removeprefix('BENCH_').removesuffix('.json')}:{self.path}"
 
 
-#: The tracked metrics and their tolerances.  Batch/suite speedups and
+#: The tracked metrics and their tolerances.  Suite speedups and
 #: service throughput are ratios measured on shared machines → wide
 #: relative bands; cache-miss counts are near-deterministic → absolute;
 #: overhead percentages hover near zero → absolute only.
 TRACKED: tuple[TrackedMetric, ...] = (
-    TrackedMetric("BENCH_batch.json", "levels/speedup", "higher", rel_tol=0.35),
-    TrackedMetric("BENCH_batch.json", "classify/speedup", "higher", rel_tol=0.35),
-    # The batched end-to-end ratio hovers near 1 (levels are a small slice
-    # of suite wall time) — the band is absolute, guarding "batching slowed
-    # the suite down", not a speedup promise.
-    TrackedMetric("BENCH_batch.json", "end_to_end/speedup", "higher", abs_tol=0.25),
     TrackedMetric("BENCH_perf_suite.json", "speedup", "higher", rel_tol=0.35),
     TrackedMetric(
         "BENCH_service.json", "rate_ladder/-1/throughput_rps", "higher", rel_tol=0.40
@@ -116,7 +110,7 @@ TRACKED: tuple[TrackedMetric, ...] = (
     TrackedMetric(
         "BENCH_campaign.json", "campaign/units_per_s", "higher", rel_tol=0.50
     ),
-    # Adversarial-search throughput (batch-fanned candidate scoring) is a
+    # Adversarial-search throughput (neighborhood candidate scoring) is a
     # wall-clock rate on shared machines → wide relative band.  best_gap,
     # by contrast, is fully deterministic (seeded search over seeded
     # generation, resolved ops) — the band is a rounding allowance only,

@@ -143,13 +143,7 @@ def _run_chunk(
     parent passes a ``traceparent``, a child context is activated for the
     chunk so every worker span (graph, schedule, compile) carries the
     campaign's trace id.
-
-    When the batch layer is enabled the whole chunk is pre-analyzed in one
-    vectorized pass (:func:`~repro.core.batch.batch_analyze`) before the
-    per-graph loop — the compile/level work lands under the worker's own
-    obs sinks and the loop then runs on primed memos, byte-identically.
     """
-    from ..core.batch import batch_analyze, batch_enabled
     from .runner import _graph_result_safe
 
     registry = MetricsRegistry()
@@ -160,14 +154,6 @@ def _run_chunk(
     results = []
     failures: list[FailureRecord] = []
     with use_registry(registry), use_tracer(tracer), use_context(ctx):
-        if batch_enabled():
-            report = batch_analyze([sg.graph for sg in chunk])
-            for pos in report.skipped:
-                get_logger("parallel").warning(
-                    "batch pre-analysis skipped cyclic graph %s; "
-                    "the per-graph path will raise",
-                    chunk[pos].graph_id,
-                )
         for sg in chunk:
             gr, frs = _graph_result_safe(
                 sg,

@@ -35,7 +35,6 @@ import inspect
 from collections.abc import Callable, Iterable, Sequence
 from time import perf_counter, sleep
 
-from ..core.batch import batch_analyze, batch_enabled
 from ..core.exceptions import ReproError
 from ..core.metrics import granularity
 from ..core.taskgraph import TaskGraph
@@ -330,48 +329,8 @@ def _make_policy(
     )
 
 
-#: Graphs per vectorized pre-analysis batch in the serial suite path.
-#: Large enough to amortize the pack's fixed numpy-call overhead (the
-#: batched sweeps only win clearly past ~128 pooled graphs), small enough
-#: that buffering a lazy suite generator this far ahead stays cheap.
+#: perfbench's traced pass groups its compile and analysis spans by this many graphs.
 PREBATCH_CHUNK = 256
-
-
-def _iter_prebatched(
-    suite: Iterable[SuiteGraph], completed: dict
-) -> Iterable[SuiteGraph]:
-    """Yield the suite unchanged, batch-analyzing ``PREBATCH_CHUNK`` ahead.
-
-    Each chunk's graphs get their level/classification memos primed by one
-    vectorized :func:`~repro.core.batch.batch_analyze` pass (checkpointed
-    graphs are skipped — their results are replayed, not recomputed), so
-    the per-graph evaluation below runs against warm caches.  Results are
-    byte-identical: the batch primes exactly the values the lazy kernels
-    would compute, and graphs it cannot handle (e.g. cyclic) are left for
-    the per-graph path to fail on with its usual error handling — the
-    :class:`~repro.core.batch.BatchReport` names them here first, so a bad
-    generator shows up in the log before the failure record.
-    """
-    buf: list[SuiteGraph] = []
-    for sg in suite:
-        buf.append(sg)
-        if len(buf) >= PREBATCH_CHUNK:
-            _prebatch([s for s in buf if s.graph_id not in completed])
-            yield from buf
-            buf = []
-    if buf:
-        _prebatch([s for s in buf if s.graph_id not in completed])
-        yield from buf
-
-
-def _prebatch(pending: list[SuiteGraph]) -> None:
-    report = batch_analyze([s.graph for s in pending])
-    for pos in report.skipped:
-        get_logger("runner").warning(
-            "batch pre-analysis skipped cyclic graph %s; "
-            "the per-graph path will raise",
-            pending[pos].graph_id,
-        )
 
 
 def run_suite(
@@ -458,8 +417,7 @@ def run_suite(
     results = SuiteResult(failures=replayed if keep_records else ())
     results.n_failed = len(replayed)
     resumed = 0
-    suite_iter = _iter_prebatched(suite, completed) if batch_enabled() else suite
-    for sg in suite_iter:
+    for sg in suite:
         if sg.graph_id in completed:
             gr = completed[sg.graph_id]
             resumed += 1

@@ -9,7 +9,8 @@ for a pair of heuristics over one set of graphs it reports
 * mean and median makespan ratio,
 * a Wilcoxon signed-rank test (via scipy) on the paired makespans, whose
   p-value bounds the probability that a difference this one-sided arises
-  from symmetric noise.
+  from symmetric noise.  scipy is a ``dev`` extra, imported only when a
+  test runs, so the package imports without it.
 
 :func:`comparison_matrix` runs all pairs and renders the familiar
 dominance table.
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-from scipy import stats as _scipy_stats
 
 from .measures import GraphResult
 from .reporting import ResultTable
@@ -87,7 +86,9 @@ def compare_heuristics(
     if all(abs(d) <= _EPS for d in diffs):
         p_value = 1.0
     else:
-        _, p_value = _scipy_stats.wilcoxon(xs, ys, zero_method="zsplit")
+        from scipy import stats
+
+        _, p_value = stats.wilcoxon(xs, ys, zero_method="zsplit")
     return PairedComparison(
         a=a,
         b=b,

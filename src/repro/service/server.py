@@ -66,7 +66,6 @@ from time import perf_counter
 from typing import Any
 
 from ..core import wire
-from ..core.batch import batch_analyze, batch_enabled
 from ..core.exceptions import ReproError
 from ..core.kernels import discard_index
 from ..core.simulator import simulate_ordered
@@ -550,33 +549,6 @@ class ReproServer:
                 key: object = it.digest if it.digest is not None else object()
                 buckets.setdefault(key, []).append(it)
             registry = get_registry()
-            # Distinct simultaneous graphs: decode + analyze them in one
-            # vectorized pass before the groups run, so every group's
-            # first execution hits primed level/classification memos.
-            # Purely an accelerator — failures fall through to the
-            # per-item path, which reports decode errors properly.
-            if batch_enabled() and len(buckets) > 1:
-                entries = [
-                    (key, wg)
-                    for key, items in buckets.items()
-                    if isinstance(key, str)
-                    and isinstance(
-                        wg := items[0].request.params.get("graph"), dict
-                    )
-                ]
-                if len(entries) > 1:
-                    try:
-                        await asyncio.get_running_loop().run_in_executor(
-                            self._executor, self._prebatch_graphs, entries
-                        )
-                        registry.inc(
-                            "service.batch.prebatched", len(entries)
-                        )
-                    except Exception:  # noqa: BLE001 - daemon must not die
-                        self._log.debug(
-                            "prebatch pass failed; falling back to per-item",
-                            exc_info=True,
-                        )
             for items in buckets.values():
                 if len(items) > 1:
                     registry.inc("service.batch.groups")
@@ -705,22 +677,6 @@ class ReproServer:
         if request.op == "simulate":
             return self._op_simulate(graph, request.params)
         raise ProtocolError(f"unknown op {request.op!r}")  # unreachable
-
-    def _prebatch_graphs(
-        self, entries: list[tuple[str, Mapping[str, Any]]]
-    ) -> None:
-        """Executor-thread entry: decode (LRU-cached) and batch-analyze the
-        distinct graphs of one dispatch round.  Undecodable graphs are
-        skipped — the owning request's own execution raises the protocol
-        error with proper attribution."""
-        graphs: list[TaskGraph] = []
-        for digest, wire_graph in entries:
-            try:
-                graphs.append(self._cache.get_or_decode(digest, wire_graph))
-            except (KeyError, TypeError, ValueError):
-                continue
-        if len(graphs) > 1:
-            batch_analyze(graphs)
 
     def _resolve_graph(
         self, params: Mapping[str, Any], digest: str | None

@@ -11,7 +11,7 @@ The subsystem's two load-bearing guarantees are tested here directly:
   round trip of the stored instance record.
 
 Plus the integration contract: a promoted instance enters the normal
-Table-1 machinery (``run_suite`` serial/parallel/batched, checkpoints) as
+Table-1 machinery (``run_suite`` serial/parallel, checkpoints) as
 the ``adversarial`` graph class and behaves like any random graph.
 """
 
@@ -50,11 +50,10 @@ from repro.adversarial import (
     verify_replay,
     wire_record,
 )
-from repro.core.batch import use_batch
 from repro.core.exceptions import AdversarialError, GraphError
 from repro.core.taskgraph import TaskGraph
 from repro.core.wire import graph_digest, graph_to_wire
-from repro.experiments.batchbench import _serialized
+from repro.experiments.advbench import _serialized
 from repro.experiments.runner import run_suite
 from repro.generation.random_dag import generate_pdg
 from repro.generation.suites import (
@@ -295,13 +294,11 @@ class TestObjectives:
         assert n is not None
         assert ratio.describe() == {"kind": "ratio", "a": "DSC", "b": "CLANS"}
 
-    @pytest.mark.parametrize("batch_on", [False, True], ids=["b0", "b1"])
-    def test_score_many_matches_score(self, batch_on):
+    def test_score_many_matches_score(self):
         objective = MakespanRatio("DSC", "MCP")
         graphs = [_base(SEED + i) for i in range(4)]
-        with use_batch(batch_on):
-            many = objective.score_many(graphs)
-            singles = [objective.score(g) for g in graphs]
+        many = objective.score_many(graphs)
+        singles = [objective.score(g) for g in graphs]
         assert many == singles
 
     def test_cyclic_candidate_scores_none_and_counts(self):
@@ -313,7 +310,7 @@ class TestObjectives:
         ok = _base()
         objective = MakespanRatio("DSC", "CLANS")
         registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True):
+        with use_registry(registry):
             scores = objective.score_many([cyc, ok])
         assert scores[0] is None and scores[1] is not None
         assert registry.counters()["adv.bad_candidates"] == 1
@@ -511,12 +508,9 @@ class TestSuiteIntegration:
             )
         ) + suite
 
-        with use_batch(True):
-            batched = _serialized(run_suite([s for s in mixed], None, seed=SEED))
-        with use_batch(False):
-            unbatched = _serialized(run_suite([s for s in mixed], None, seed=SEED))
+        serial = _serialized(run_suite([s for s in mixed], None, seed=SEED))
         parallel = _serialized(run_suite([s for s in mixed], None, seed=SEED, jobs=2))
-        assert batched == unbatched == parallel
+        assert serial == parallel
 
     def test_checkpoint_resume_is_byte_identical(self, tmp_path):
         record = _hunted_record()

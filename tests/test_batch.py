@@ -1,13 +1,11 @@
-"""Batched SoA analysis: equivalence, priming, fallback, byte identity.
+"""batch_analyze: memo priming, cyclic skips, counters, byte identity.
 
-The batch layer's whole contract is "invisible except for speed": every
-number it primes must be *bitwise* equal to what the per-graph kernels
-compute lazily and to the dict oracles in ``tests/reference.py``, with
-batching on or off, and a suite run with batching on must serialize
-byte-identically to one with it off.  CI's ``batch-smoke`` job runs this
-file twice — once with ``REPRO_BATCH=1`` and once with ``=0`` — so the
-assertions here are written against explicit ``use_batch`` toggles, never
-against the ambient environment.
+:func:`~repro.core.batch.batch_analyze` runs the per-graph kernel
+accessors ahead of time and reports cyclic inputs.  Its contract is
+"invisible except for the report": every value it primes must equal what
+the kernels compute lazily on a fresh copy and what the dict oracles in
+``tests/reference.py`` compute, and a suite run over primed graphs must
+serialize byte-identically to one over fresh graphs.
 """
 
 from __future__ import annotations
@@ -16,23 +14,20 @@ import numpy as np
 import pytest
 
 from repro import TaskGraph
-from repro.core import batch as batch_mod
-from repro.core.analysis import alap_times, b_levels, hu_levels, t_levels
-from repro.core.batch import (
-    GraphBatch,
-    batch_analyze,
-    batch_enabled,
-    numpy_available,
-    use_batch,
+from repro.core import kernels
+from repro.core import metrics as metrics_mod
+from repro.core.analysis import (
+    alap_times,
+    b_levels,
+    critical_path_length,
+    hu_levels,
+    t_levels,
 )
+from repro.core.batch import BatchReport, batch_analyze
 from repro.core.exceptions import CycleError, GraphError
-from repro.core.kernels import GraphIndex, graph_index
-from repro.core.metrics import (
-    anchor_out_degree,
-    granularity,
-    granularity_band,
-    node_weight_range,
-)
+from repro.core.kernels import graph_index
+from repro.core.metrics import granularity, granularity_band
+from repro.experiments.advbench import _serialized
 from repro.generation.random_dag import generate_pdg
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -95,9 +90,18 @@ IDS = [name for name, _ in CORPUS]
 GRAPHS = [g for _, g in CORPUS]
 
 
+def _cycle() -> TaskGraph:
+    cyc = TaskGraph()
+    cyc.add_task("a", 1)
+    cyc.add_task("b", 1)
+    cyc.add_edge("a", "b", 1)
+    cyc.add_edge("b", "a", 1)
+    return cyc
+
+
 def _reference_levels(g: TaskGraph) -> dict:
-    """The dict oracles' analysis (the ground truth both the kernels and
-    the batch must match bit for bit)."""
+    """The dict oracles' analysis (the ground truth the primed values must
+    match bit for bit)."""
     return {
         "t": reference.t_levels(g, communication=True),
         "t0": reference.t_levels(g, communication=False),
@@ -107,278 +111,8 @@ def _reference_levels(g: TaskGraph) -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# toggles and guards
-# ----------------------------------------------------------------------
-class TestToggles:
-    def test_numpy_available_here(self):
-        assert numpy_available()
-
-    def test_use_batch_nests_and_restores(self):
-        initial = batch_mod._enabled
-        with use_batch(True):
-            assert batch_enabled()
-            with use_batch(False):
-                assert not batch_enabled()
-                with use_batch(True):
-                    assert batch_enabled()
-                assert not batch_enabled()
-        assert batch_mod._enabled == initial
-
-    def test_degrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_np", None)
-        assert not numpy_available()
-        with use_batch(True):
-            assert not batch_enabled()
-            assert batch_analyze([GRAPHS[0].copy()]) == 0
-        with pytest.raises(RuntimeError):
-            GraphBatch([])
-
-
-# ----------------------------------------------------------------------
-# pooled level sweeps: bitwise equal to the dict oracles
-# ----------------------------------------------------------------------
-class TestBatchLevelEquivalence:
-    @pytest.fixture(scope="class")
-    def pooled(self):
-        indexes = [GraphIndex(g) for g in GRAPHS]
-        return GraphBatch(indexes), indexes
-
-    def test_pool_shape(self, pooled):
-        batch, indexes = pooled
-        assert batch.n_graphs == len(GRAPHS)
-        assert batch.n_nodes == sum(gi.n for gi in indexes)
-        assert batch.n_edges == sum(gi.m for gi in indexes)
-
-    @pytest.mark.parametrize(
-        "accessor, key",
-        [
-            (lambda b: b.t_levels(True), "t"),
-            (lambda b: b.t_levels(False), "t0"),
-            (lambda b: b.b_levels(True), "b"),
-            (lambda b: b.b_levels(False), "hu"),
-            (lambda b: b.alap(True), "alap"),
-        ],
-        ids=["t", "t-nocomm", "b", "hu", "alap"],
-    )
-    def test_levels_bitwise_equal(self, pooled, accessor, key):
-        batch, indexes = pooled
-        per_graph = batch.per_graph(accessor(batch))
-        for k, (name, g) in enumerate(CORPUS):
-            ref = _reference_levels(g)[key]
-            got = dict(zip(indexes[k].tasks, per_graph[k]))
-            assert got == ref, name  # exact: == on floats, not approx
-
-    def test_critical_path_lengths(self, pooled):
-        batch, _ = pooled
-        cp = batch.critical_path_lengths(True)
-        for k, (name, g) in enumerate(CORPUS):
-            ref = _reference_levels(g)["b"]
-            expect = max(ref.values(), default=0.0)
-            assert cp[k] == expect, name
-
-    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
-    def test_single_graph_batch_matches_pooled(self, pooled, g):
-        batch, indexes = pooled
-        k = GRAPHS.index(g)
-        solo = GraphBatch([indexes[k]])
-        assert solo.per_graph(solo.t_levels(True))[0] == batch.per_graph(
-            batch.t_levels(True)
-        )[k]
-        assert solo.per_graph(solo.b_levels(True))[0] == batch.per_graph(
-            batch.b_levels(True)
-        )[k]
-        assert solo.per_graph(solo.alap(True))[0] == batch.per_graph(
-            batch.alap(True)
-        )[k]
-
-    def test_empty_batch(self):
-        batch = GraphBatch([])
-        assert batch.n_graphs == batch.n_nodes == batch.n_edges == 0
-        assert batch.per_graph(batch.t_levels(True)) == []
-        assert batch.per_graph(batch.b_levels(True)) == []
-        assert batch.granularities() == []
-        assert batch.serial_times() == []
-        assert batch.weight_ranges() == []
-        assert batch_analyze([]) == 0
-
-
-# ----------------------------------------------------------------------
-# classification metrics (paper section 3)
-# ----------------------------------------------------------------------
-class TestClassificationEquivalence:
-    @pytest.fixture(scope="class")
-    def pooled(self):
-        return GraphBatch([GraphIndex(g) for g in GRAPHS])
-
-    def test_granularities(self, pooled):
-        got = pooled.granularities()
-        for k, (name, g) in enumerate(CORPUS):
-            try:
-                expect = granularity(g.copy())  # fresh copy: unmemoized
-            except GraphError:
-                expect = None
-            assert got[k] == expect, name
-
-    def test_granularity_bands(self, pooled):
-        grans = pooled.granularities()
-        bands = pooled.granularity_bands()
-        for gr, band in zip(grans, bands):
-            assert band == (granularity_band(gr) if gr is not None else None)
-
-    @pytest.mark.parametrize("include_sinks", [False, True])
-    def test_anchors(self, pooled, include_sinks):
-        got = pooled.anchors(include_sinks=include_sinks)
-        for k, (name, g) in enumerate(CORPUS):
-            try:
-                expect = anchor_out_degree(g, include_sinks=include_sinks)
-            except GraphError:
-                expect = None
-            assert got[k] == expect, name
-
-    def test_weight_ranges(self, pooled):
-        got = pooled.weight_ranges()
-        for k, (name, g) in enumerate(CORPUS):
-            try:
-                expect = node_weight_range(g)
-            except GraphError:
-                expect = None
-            assert got[k] == expect, name
-
-    def test_serial_times(self, pooled):
-        got = pooled.serial_times()
-        for k, (name, g) in enumerate(CORPUS):
-            assert got[k] == g.copy().serial_time(), name  # bitwise ==
-
-
-# ----------------------------------------------------------------------
-# batch_analyze: memo priming, skip logic, counters
-# ----------------------------------------------------------------------
-class TestBatchAnalyze:
-    def test_primes_the_kernel_memo_keys(self):
-        g = GRAPHS[2].copy()
-        with use_batch(True):
-            assert batch_analyze([g]) == 1
-        for key in batch_mod._LEVEL_KEYS + (batch_mod._KEY_SERIAL,):
-            assert g.has_cached(key)
-
-    def test_primed_values_equal_lazy_values(self):
-        g = GRAPHS[3]
-        primed = g.copy()
-        with use_batch(True):
-            batch_analyze([primed])
-            ref = _reference_levels(g)
-            assert t_levels(primed, communication=True) == ref["t"]
-            assert b_levels(primed, communication=True) == ref["b"]
-            assert hu_levels(primed) == ref["hu"]
-            assert alap_times(primed, communication=True) == ref["alap"]
-
-    def test_dedup_and_already_primed_counters(self):
-        g = GRAPHS[4].copy()
-        registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True):
-            assert batch_analyze([g, g, g]) == 1  # deduped by identity
-            assert batch_analyze([g]) == 0  # memos already primed
-        counters = registry.counters()
-        assert counters["batch.batches"] == 1
-        assert counters["batch.graphs"] == 1
-        assert counters["batch.already_primed"] == 1
-        assert counters["batch.nodes"] == g.n_tasks
-
-    def test_compile_reuses_cached_index(self):
-        # Satellite: batch compile must go through the graph_index LRU, so
-        # a graph whose index is already compiled is a cache hit, not a
-        # recompile.
-        g = GRAPHS[5].copy()
-        registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True):
-            gi = graph_index(g)  # pre-compile
-            batch_analyze([g])
-            assert graph_index(g) is gi  # still the same compiled object
-        counters = registry.counters()
-        assert counters.get("kernels.cache.misses", 0) == 1  # the pre-compile
-        assert counters.get("kernels.cache.hits", 0) >= 1
-
-    def test_cyclic_graph_skipped_not_raised(self):
-        cyc = TaskGraph()
-        cyc.add_task("a", 1)
-        cyc.add_task("b", 1)
-        cyc.add_edge("a", "b", 1)
-        cyc.add_edge("b", "a", 1)
-        ok = GRAPHS[1].copy()
-        with use_batch(True):
-            assert batch_analyze([cyc, ok]) == 1  # cyclic graph skipped
-            with pytest.raises(CycleError):
-                t_levels(cyc)  # the on-demand path still reports it
-
-    def test_cyclic_skip_is_surfaced_in_report_and_counter(self):
-        # The skip must not be silent: the report names the skipped input
-        # positions and the registry counts them, while the return value
-        # still compares as the analyzed count (it is an int subclass).
-        def _cycle() -> TaskGraph:
-            cyc = TaskGraph()
-            cyc.add_task("a", 1)
-            cyc.add_task("b", 1)
-            cyc.add_edge("a", "b", 1)
-            cyc.add_edge("b", "a", 1)
-            return cyc
-
-        ok1, ok2 = GRAPHS[1].copy(), GRAPHS[2].copy()
-        registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True):
-            report = batch_analyze([_cycle(), ok1, _cycle(), ok2])
-        assert isinstance(report, batch_mod.BatchReport)
-        assert report == 2
-        assert report.skipped == (0, 2)
-        assert registry.counters()["batch.skipped_cyclic"] == 2
-
-    def test_all_cyclic_report(self):
-        def _cycle() -> TaskGraph:
-            cyc = TaskGraph()
-            cyc.add_task("a", 1)
-            cyc.add_task("b", 1)
-            cyc.add_edge("a", "b", 1)
-            cyc.add_edge("b", "a", 1)
-            return cyc
-
-        with use_batch(True):
-            report = batch_analyze([_cycle(), _cycle()])
-        assert report == 0
-        assert report.skipped == (0, 1)
-
-    def test_report_when_disabled_or_empty(self):
-        g = GRAPHS[3].copy()
-        with use_batch(False):
-            report = batch_analyze([g])
-        assert report == 0 and report.skipped == ()
-        with use_batch(True):
-            report = batch_analyze([])
-        assert report == 0 and report.skipped == ()
-
-    def test_disabled_is_a_noop(self):
-        g = GRAPHS[6].copy()
-        with use_batch(False):
-            assert batch_analyze([g]) == 0
-        for key in batch_mod._LEVEL_KEYS:
-            assert not g.has_cached(key)
-
-    def test_mutation_invalidates_primed_memos(self):
-        g = GRAPHS[7].copy()
-        with use_batch(True):
-            batch_analyze([g])
-            assert g.has_cached(batch_mod._KEY_T)
-            g.add_task("fresh", 1.0)
-            assert not g.has_cached(batch_mod._KEY_T)
-            # re-analyzing after mutation primes the new version
-            assert batch_analyze([g]) == 1
-            ref = _reference_levels(g)
-            assert t_levels(g, communication=True) == ref["t"]
-
-
-# ----------------------------------------------------------------------
-# batching on/off x two ground truths: four ways, one answer
-# ----------------------------------------------------------------------
 def _analysis(work: TaskGraph) -> dict:
+    """Everything batch_analyze primes, read through the public accessors."""
     entry = {
         "t": t_levels(work, communication=True),
         "b": b_levels(work, communication=True),
@@ -393,21 +127,207 @@ def _analysis(work: TaskGraph) -> dict:
     return entry
 
 
+def _forbid_recompute(monkeypatch) -> None:
+    """Make the level sweeps and the granularity computation raise."""
+
+    def boom(*_args):
+        raise AssertionError("recomputed a primed value")
+
+    monkeypatch.setattr(kernels, "_t_levels", boom)
+    monkeypatch.setattr(kernels, "_b_levels", boom)
+    monkeypatch.setattr(metrics_mod, "_granularity", boom)
+
+
+# ----------------------------------------------------------------------
+# one call over the whole corpus: bitwise equal to the dict oracles
+# ----------------------------------------------------------------------
+class TestBatchLevelEquivalence:
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        primed = [g.copy() for g in GRAPHS]
+        return primed, batch_analyze(primed)
+
+    def test_pool_shape(self, pooled):
+        _, report = pooled
+        assert report == len(GRAPHS)
+        assert report.skipped == ()
+
+    @pytest.mark.parametrize(
+        "accessor, key",
+        [
+            (lambda g: t_levels(g, communication=True), "t"),
+            (lambda g: t_levels(g, communication=False), "t0"),
+            (lambda g: b_levels(g, communication=True), "b"),
+            (hu_levels, "hu"),
+            (lambda g: alap_times(g, communication=True), "alap"),
+        ],
+        ids=["t", "t-nocomm", "b", "hu", "alap"],
+    )
+    def test_levels_bitwise_equal(self, pooled, accessor, key):
+        primed, _ = pooled
+        for (name, g), work in zip(CORPUS, primed):
+            assert accessor(work) == _reference_levels(g)[key], name  # exact ==
+
+    def test_critical_path_lengths(self, pooled):
+        primed, _ = pooled
+        for (name, g), work in zip(CORPUS, primed):
+            expect = max(_reference_levels(g)["b"].values(), default=0.0)
+            assert critical_path_length(work) == expect, name
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_single_graph_batch_matches_pooled(self, pooled, g):
+        # A graph's primed values do not depend on what else was in the call.
+        primed, _ = pooled
+        solo = g.copy()
+        assert batch_analyze([solo]) == 1
+        assert _analysis(solo) == _analysis(primed[GRAPHS.index(g)])
+
+    def test_empty_batch(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = batch_analyze([])
+        assert report == 0 and report.skipped == ()
+        assert "batch.graphs" not in registry.counters()
+
+
+# ----------------------------------------------------------------------
+# classification metrics (paper section 3)
+# ----------------------------------------------------------------------
+class TestClassificationEquivalence:
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        primed = [g.copy() for g in GRAPHS]
+        batch_analyze(primed)
+        return primed
+
+    @staticmethod
+    def _granularity(g: TaskGraph) -> float | None:
+        try:
+            return granularity(g)
+        except GraphError:
+            return None
+
+    def test_granularities(self, pooled):
+        for (name, g), work in zip(CORPUS, pooled):
+            # undefined granularity stays unprimed and still raises on demand
+            assert self._granularity(work) == self._granularity(g.copy()), name
+
+    def test_granularity_bands(self, pooled):
+        for (name, g), work in zip(CORPUS, pooled):
+            gr = self._granularity(work)
+            fresh = self._granularity(g.copy())
+            assert (gr is None) == (fresh is None), name
+            if gr is not None:
+                assert granularity_band(gr) == granularity_band(fresh), name
+
+    def test_serial_times(self, pooled):
+        for (name, g), work in zip(CORPUS, pooled):
+            assert work.serial_time() == g.copy().serial_time(), name  # bitwise ==
+
+
+# ----------------------------------------------------------------------
+# batch_analyze: memo priming, skip logic, counters
+# ----------------------------------------------------------------------
+class TestBatchAnalyze:
+    def test_primes_the_kernel_memo_keys(self, monkeypatch):
+        g = GRAPHS[2].copy()
+        expect = _analysis(GRAPHS[2].copy())
+        assert batch_analyze([g]) == 1
+        # Reading a primed graph must hit the memos, never the sweeps.
+        _forbid_recompute(monkeypatch)
+        assert _analysis(g) == expect
+
+    def test_primed_values_equal_lazy_values(self):
+        for name, g in CORPUS[:8] + _edge_case_graphs():
+            primed = g.copy()
+            assert batch_analyze([primed]) == 1
+            assert _analysis(primed) == _analysis(g.copy()), name
+
+    def test_dedup_and_already_primed_counters(self, monkeypatch):
+        g = GRAPHS[4].copy()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert batch_analyze([g, g, g]) == 1  # deduped by identity
+            # an already-primed graph is read back from its memos
+            _forbid_recompute(monkeypatch)
+            assert batch_analyze([g]) == 1
+        assert registry.counters()["batch.graphs"] == 2
+        assert registry.timer_stats("batch.analyze").count == 2
+        assert "batch.batches" not in registry.counters()
+
+    def test_compile_reuses_cached_index(self):
+        # batch_analyze compiles through the graph_index LRU, so a graph
+        # whose index is already compiled is a cache hit, not a recompile.
+        g = GRAPHS[5].copy()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            gi = graph_index(g)  # pre-compile
+            batch_analyze([g])
+            assert graph_index(g) is gi  # still the same compiled object
+        counters = registry.counters()
+        assert counters.get("kernels.cache.misses", 0) == 1  # the pre-compile
+        assert counters.get("kernels.cache.hits", 0) >= 1
+
+    def test_cyclic_graph_skipped_not_raised(self):
+        cyc = _cycle()
+        ok = GRAPHS[1].copy()
+        assert batch_analyze([cyc, ok]) == 1  # cyclic graph skipped
+        with pytest.raises(CycleError):
+            t_levels(cyc)  # the on-demand path still reports it
+
+    def test_cyclic_skip_is_surfaced_in_report_and_counter(self):
+        # The skip must not be silent: the report names the skipped input
+        # positions and the registry counts them, while the return value
+        # still compares as the analyzed count (it is an int subclass).
+        ok1, ok2 = GRAPHS[1].copy(), GRAPHS[2].copy()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = batch_analyze([_cycle(), ok1, _cycle(), ok2])
+        assert isinstance(report, BatchReport)
+        assert report == 2
+        assert report.skipped == (0, 2)
+        assert registry.counters()["batch.skipped_cyclic"] == 2
+
+    def test_all_cyclic_report(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = batch_analyze([_cycle(), _cycle()])
+        assert report == 0
+        assert report.skipped == (0, 1)
+        assert registry.counters()["batch.skipped_cyclic"] == 2
+
+    def test_mutation_invalidates_primed_memos(self):
+        g = GRAPHS[7].copy()
+        batch_analyze([g])
+        before = t_levels(g, communication=True)
+        g.add_task("fresh", 1.0)
+        ref = _reference_levels(g)
+        # the primed values belong to the old version and are not served
+        assert t_levels(g, communication=True) == ref["t"] != before
+        # re-analyzing after mutation primes the new version
+        assert batch_analyze([g]) == 1
+        assert _analysis(g) == _analysis(g.copy())
+        assert alap_times(g, communication=True) == ref["alap"]
+
+
+# ----------------------------------------------------------------------
+# primed or not x two ground truths: four ways, one answer
+# ----------------------------------------------------------------------
 class TestFallbackMatrix:
-    # b: whether batch_analyze primes the memos first.  k: the ground truth
-    # — k0 the dict oracles (levels only), k1 the lazily computed per-graph
-    # kernels on a fresh copy (every field, serial time and granularity too).
+    # b: whether batch_analyze primes the memos first (b0 leaves every
+    # value to the lazy kernels).  k: the ground truth — k0 the dict
+    # oracles (levels only), k1 the lazily computed per-graph kernels on a
+    # fresh copy (every field, serial time and granularity too).
     @pytest.mark.parametrize("per_graph_truth", [False, True], ids=["k0", "k1"])
     @pytest.mark.parametrize("batch_on", [False, True], ids=["b0", "b1"])
     def test_all_four_combinations_bit_identical(self, batch_on, per_graph_truth):
         for name, g in CORPUS[:8] + _edge_case_graphs():
             work = g.copy()
-            with use_batch(batch_on):
-                batch_analyze([work])  # no-op with batching off
-                entry = _analysis(work)
+            if batch_on:
+                batch_analyze([work])
+            entry = _analysis(work)
             if per_graph_truth:
-                with use_batch(False):
-                    assert entry == _analysis(g.copy()), name
+                assert entry == _analysis(g.copy()), name
             else:
                 ref = _reference_levels(g)
                 for key in ("t", "b", "hu", "alap"):
@@ -431,32 +351,26 @@ class TestSuiteByteIdentity:
         return suite, scheds
 
     @staticmethod
-    def _fresh(suite):
+    def _run(suite, scheds, *, primed, jobs=1):
+        from repro.experiments.runner import run_suite
         from repro.generation.suites import SuiteGraph
 
-        return [
+        fresh = [
             SuiteGraph(cell=sg.cell, index=sg.index, graph=sg.graph.copy())
             for sg in suite
         ]
-
-    def _run(self, suite, scheds, *, batch_on, jobs=1):
-        from repro.experiments.batchbench import _serialized
-        from repro.experiments.runner import run_suite
-
-        with use_batch(batch_on):
-            results = run_suite(self._fresh(suite), scheds, seed=SEED, jobs=jobs)
-        return _serialized(results)
+        if primed:
+            assert batch_analyze([sg.graph for sg in fresh]) == len(fresh)
+        return _serialized(run_suite(fresh, scheds, seed=SEED, jobs=jobs))
 
     def test_serial_on_off_byte_identical(self, suite_and_scheds):
         suite, scheds = suite_and_scheds
-        off = self._run(suite, scheds, batch_on=False)
-        on = self._run(suite, scheds, batch_on=True)
+        off = self._run(suite, scheds, primed=False)
+        on = self._run(suite, scheds, primed=True)
         assert on == off
 
     def test_jobs2_byte_identical_to_serial_unbatched(self, suite_and_scheds):
-        # Worker processes decide batching from their own environment, so
-        # this holds whichever REPRO_BATCH the CI matrix leg exports.
         suite, scheds = suite_and_scheds
-        ref = self._run(suite, scheds, batch_on=False)
-        par = self._run(suite, scheds, batch_on=True, jobs=2)
+        ref = self._run(suite, scheds, primed=False)
+        par = self._run(suite, scheds, primed=False, jobs=2)
         assert par == ref

@@ -58,3 +58,56 @@ class TestRunSuite:
         for gr in results:
             assert set(gr.results) == {"SERIAL"}
             assert gr.results["SERIAL"].parallel_time == pytest.approx(gr.serial_time)
+
+
+class TestCyclicGraphInSuite:
+    """A cyclic graph in the middle of a suite, serial and ``--jobs``."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        from repro import TaskGraph
+        from repro.generation.suites import SuiteGraph
+
+        ok = list(
+            generate_suite(
+                graphs_per_cell=2,
+                cells=[SuiteCell(1, 2, (20, 100))],
+                n_tasks_range=(10, 15),
+            )
+        )
+        cyc = TaskGraph()
+        for t in "abc":
+            cyc.add_task(t, 10)
+        cyc.add_edge("a", "b", 5)
+        cyc.add_edge("b", "c", 5)
+        cyc.add_edge("c", "a", 5)
+        bad = SuiteGraph(cell=ok[0].cell, index=99, graph=cyc)
+        return [ok[0], bad, ok[1]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raise_policy_raises_cycle_error(self, suite, jobs):
+        from repro.core.exceptions import CycleError
+
+        with pytest.raises(CycleError):
+            run_suite(suite, jobs=jobs, on_error="raise")
+
+    def test_record_policy_one_failure_per_heuristic(self, suite):
+        from repro.experiments.advbench import _serialized
+
+        outputs = []
+        for jobs in (1, 2):
+            results = run_suite(suite, jobs=jobs, on_error="record")
+            assert [gr.graph_id for gr in results] == [
+                suite[0].graph_id,
+                suite[2].graph_id,
+            ]
+            failures = sorted(
+                (fr.heuristic, fr.kind, fr.exc_type, fr.graph_id)
+                for fr in results.failures
+            )
+            assert failures == sorted(
+                (name, "error", "CycleError", suite[1].graph_id)
+                for name in PAPER_HEURISTIC_ORDER
+            )
+            outputs.append((_serialized(results), failures))
+        assert outputs[0] == outputs[1]

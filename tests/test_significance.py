@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.measures import GraphResult, HeuristicResult
@@ -105,3 +110,35 @@ class TestComparisonMatrix:
         assert table.value("CLANS", "HU") == 1.0
         assert table.value("HU", "CLANS") == 0.0
         assert table.value("CLANS", "DSC") == 0.0
+
+
+class TestOptionalScipy:
+    """scipy is a ``dev`` extra: only running a test may need it."""
+
+    @staticmethod
+    def _run(code: str) -> subprocess.CompletedProcess:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    def test_cli_imports_with_scipy_blocked(self):
+        proc = self._run(
+            "import sys; sys.modules['scipy'] = None; import repro.cli"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_experiments_import_does_not_load_scipy(self):
+        proc = self._run(
+            "import sys, repro.experiments; "
+            "assert 'scipy' not in sys.modules, 'scipy imported eagerly'"
+        )
+        assert proc.returncode == 0, proc.stderr

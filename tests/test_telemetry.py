@@ -472,14 +472,8 @@ class TestBenchTrack:
     def _seed_tree(self, root, *, speedup: float) -> None:
         out = root / "benchmarks" / "out"
         out.mkdir(parents=True)
-        (out / "BENCH_batch.json").write_text(
-            json.dumps(
-                {
-                    "levels": {"speedup": speedup},
-                    "classify": {"speedup": 6.0},
-                    "end_to_end": {"speedup": 1.05},
-                }
-            )
+        (out / "BENCH_perf_suite.json").write_text(
+            json.dumps({"speedup": speedup, "serial_s": 2.0, "parallel_s": 1.0})
         )
 
     def test_record_then_check_passes(self, tmp_path, capsys):
@@ -492,17 +486,17 @@ class TestBenchTrack:
     def test_check_fails_on_synthetic_regression(self, tmp_path, capsys):
         self._seed_tree(tmp_path, speedup=4.5)
         assert benchtrack.run_track(root=tmp_path, label="seed") == 0
-        # regress levels speedup far beyond the 35% band
+        # regress the suite speedup far beyond the 35% band
         self._seed_tree_update(tmp_path, speedup=1.0)
         assert benchtrack.run_track(root=tmp_path, check=True) == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out
-        assert "batch:levels/speedup" in out
+        assert "perf_suite:speedup" in out
 
     def _seed_tree_update(self, root, *, speedup: float) -> None:
-        path = root / "benchmarks" / "out" / "BENCH_batch.json"
+        path = root / "benchmarks" / "out" / "BENCH_perf_suite.json"
         payload = json.loads(path.read_text())
-        payload["levels"]["speedup"] = speedup
+        payload["speedup"] = speedup
         path.write_text(json.dumps(payload))
 
     def test_check_without_history_is_clean(self, tmp_path):
