@@ -294,11 +294,18 @@ class TestObjectives:
         assert n is not None
         assert ratio.describe() == {"kind": "ratio", "a": "DSC", "b": "CLANS"}
 
-    def test_score_many_matches_score(self):
+    # b0: score_many sees cold graphs and primes their memos itself;
+    # b1: score() has warmed the memos before score_many runs.
+    @pytest.mark.parametrize("many_first", [True, False], ids=["b0", "b1"])
+    def test_score_many_matches_score(self, many_first):
         objective = MakespanRatio("DSC", "MCP")
         graphs = [_base(SEED + i) for i in range(4)]
-        many = objective.score_many(graphs)
-        singles = [objective.score(g) for g in graphs]
+        if many_first:
+            many = objective.score_many(graphs)
+            singles = [objective.score(g) for g in graphs]
+        else:
+            singles = [objective.score(g) for g in graphs]
+            many = objective.score_many(graphs)
         assert many == singles
 
     def test_cyclic_candidate_scores_none_and_counts(self):
