@@ -49,6 +49,7 @@ __all__ = [
     "alap_arr",
     "critical_path_idx",
     "priority_topo_order_idx",
+    "wave_order_idx",
     "simulate_ordered_idx",
     "descendant_masks",
     "IndexedPool",
@@ -348,6 +349,28 @@ def priority_topo_order_idx(gi: GraphIndex, priority: list[float]) -> list[int]:
     if len(order) != gi.n:
         raise ScheduleError("graph contains a cycle")
     return order
+
+
+def wave_order_idx(gi: GraphIndex, priority: list[float]) -> list[int]:
+    """Task ids in release waves, larger ``priority`` first within a wave.
+
+    MH's free list (Figure 11) is drained completely before the event list
+    releases successors, so tasks leave it in waves: wave 0 is the sources
+    and wave k the tasks whose last predecessor was placed in wave k-1 —
+    i.e. whose *edge depth* (edges on the longest path from a source) is k.
+    Within a wave the heap pops by ``(-priority, id)``, so the whole order
+    is one sort by ``(depth, -priority, id)``; it is topological because
+    every predecessor has a smaller depth.
+    """
+    depth = [0] * gi.n
+    rows = gi.pred_rows
+    for i in gi.topo_list:
+        d = 0
+        for j, _ in rows[i]:
+            if depth[j] >= d:
+                d = depth[j] + 1
+        depth[i] = d
+    return sorted(range(gi.n), key=lambda i: (depth[i], -priority[i], i))
 
 
 def simulate_ordered_idx(

@@ -13,19 +13,21 @@ clustering), :class:`EZScheduler` (Sarkar edge zeroing) and
 from .adaptive import AdaptiveScheduler, DEFAULT_SELECTION_TABLE
 from .base import SCHEDULER_REGISTRY, Scheduler, get_scheduler, paper_schedulers, register
 from .clans_sched import ClansScheduler, GroupDecision
-from .dls import DLSScheduler
 from .dsc import DSCScheduler
-from .etf import ETFScheduler
 from .ez import EZScheduler
-from .hlfet import HLFETScheduler
-from .hu import HuScheduler
 from .lc import LCScheduler
 from .linear import SerialScheduler
+from .listsched import (
+    DLSScheduler,
+    ETFScheduler,
+    HLFETScheduler,
+    HuScheduler,
+    MCPScheduler,
+    MHScheduler,
+)
 from .improve import LocalSearchImprover
 from .mapping import BoundedScheduler, fold_clusters_guided, fold_clusters_lpt
 from .metaheuristics import AnnealingScheduler, GeneticScheduler
-from .mcp import MCPScheduler
-from .mh import MHScheduler
 from .optimal import OptimalScheduler
 
 __all__ = [

@@ -51,11 +51,11 @@ class Scheduler(ABC):
         graph and hands them to all five heuristics, instead of each
         ``schedule`` call re-resolving the globals on the hot path.
         """
-        if graph.n_tasks == 0:
-            raise GraphError(f"{self.name}: cannot schedule an empty graph")
         start = perf_counter()
         error: BaseException | None = None
         try:
+            if graph.n_tasks == 0:
+                raise GraphError(f"{self.name}: cannot schedule an empty graph")
             graph.validate()
             return self._schedule(graph)
         except BaseException as exc:

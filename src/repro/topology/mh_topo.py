@@ -18,9 +18,7 @@ distance is one hop), which the tests assert.
 
 from __future__ import annotations
 
-import heapq
-
-from ..core.analysis import b_levels_view
+from ..core.kernels import b_levels_arr, graph_index, wave_order_idx
 from ..core.schedule import Schedule
 from ..core.taskgraph import Task, TaskGraph
 from ..schedulers.base import Scheduler
@@ -44,42 +42,27 @@ class TopologyMHScheduler(Scheduler):
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
         topo = self.topology
-        level = b_levels_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
+        gi = graph_index(graph)
+        # MH's release waves, exactly as in the uniform MHScheduler
+        order = wave_order_idx(gi, b_levels_arr(graph, communication=True))
 
         schedule = Schedule()
         proc_of: dict[Task, int] = {}
         proc_free = [0.0] * topo.n_processors
 
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        free = [(-level[t], seq[t], t) for t in graph.tasks() if graph.in_degree(t) == 0]
-        heapq.heapify(free)
-        events: list[tuple[float, int, Task]] = []
-        n_done = 0
-
-        while n_done < graph.n_tasks:
-            while free:
-                _, _, task = heapq.heappop(free)
-                best_p, best_start = 0, float("inf")
-                for p in range(topo.n_processors):
-                    start = proc_free[p]
-                    for pred, c in graph.in_edges(task).items():
-                        arrival = schedule.finish(pred) + c * topo.distance(
-                            proc_of[pred], p
-                        )
-                        if arrival > start:
-                            start = arrival
-                    if start < best_start - 1e-12:
-                        best_p, best_start = p, start
-                schedule.place(task, best_p, best_start, graph.weight(task))
-                proc_of[task] = best_p
-                proc_free[best_p] = schedule.finish(task)
-                heapq.heappush(events, (schedule.finish(task), seq[task], task))
-                n_done += 1
-            while events:
-                _, _, task = heapq.heappop(events)
-                for succ in graph.successors(task):
-                    n_sched_preds[succ] += 1
-                    if n_sched_preds[succ] == graph.in_degree(succ):
-                        heapq.heappush(free, (-level[succ], seq[succ], succ))
+        for task in map(gi.tasks.__getitem__, order):
+            best_p, best_start = 0, float("inf")
+            for p in range(topo.n_processors):
+                start = proc_free[p]
+                for pred, c in graph.in_edges(task).items():
+                    arrival = schedule.finish(pred) + c * topo.distance(
+                        proc_of[pred], p
+                    )
+                    if arrival > start:
+                        start = arrival
+                if start < best_start - 1e-12:
+                    best_p, best_start = p, start
+            schedule.place(task, best_p, best_start, graph.weight(task))
+            proc_of[task] = best_p
+            proc_free[best_p] = schedule.finish(task)
         return schedule

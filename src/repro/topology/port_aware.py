@@ -13,10 +13,8 @@ planning with the real model should recover much of the penalty.
 
 from __future__ import annotations
 
-import heapq
-
-from ..core.analysis import b_levels_view
 from ..core.exceptions import GraphError
+from ..core.kernels import b_levels_arr, graph_index, priority_topo_order_idx
 from ..core.schedule import Schedule
 from ..core.taskgraph import Task, TaskGraph
 
@@ -39,8 +37,8 @@ class PortAwareScheduler:
         if graph.n_tasks == 0:
             raise GraphError("MH1P: cannot schedule an empty graph")
         graph.validate()
-        level = b_levels_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
+        gi = graph_index(graph)
+        seq = gi.index_of
 
         schedule = Schedule()
         proc_of: dict[Task, int] = {}
@@ -76,11 +74,9 @@ class PortAwareScheduler:
                     start = arrival
             return start, recv_cursor, reservations
 
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        free = [(-level[t], seq[t], t) for t in graph.tasks() if graph.in_degree(t) == 0]
-        heapq.heapify(free)
-        while free:
-            _, _, task = heapq.heappop(free)
+        # the free list pops by (-level, seq) and never depends on placements
+        order = priority_topo_order_idx(gi, b_levels_arr(graph, communication=True))
+        for task in map(gi.tasks.__getitem__, order):
             can_grow = (
                 self.max_processors is None or len(proc_free) < self.max_processors
             )
@@ -106,8 +102,4 @@ class PortAwareScheduler:
             schedule.place(task, proc, start, graph.weight(task))
             proc_free[proc] = schedule.finish(task)
             proc_of[task] = proc
-            for succ in graph.successors(task):
-                n_sched_preds[succ] += 1
-                if n_sched_preds[succ] == graph.in_degree(succ):
-                    heapq.heappush(free, (-level[succ], seq[succ], succ))
         return schedule

@@ -5,9 +5,10 @@ dict-based oracles in ``tests/reference.py`` compute the same quantities
 directly on ``Task`` keys.  The two must agree *bit for bit* — same floats,
 same tie-breaks, same dict ordering.  These tests sweep seeded random PDGs
 across the paper's testbed axes (granularity band, anchor, weight range)
-plus degenerate shapes (single node, chain, fork-join, zero-cost edges) and
-assert exact equality at every layer: levels, critical path, the
-simulator, the schedulers, and the clan decomposition.
+plus degenerate shapes (single node, chain, fork-join, zero-cost edges, a
+unit-weight fork whose levels all tie) and assert exact equality at every
+layer: levels, critical path, the simulator, the schedulers, and the clan
+decomposition.
 """
 
 from __future__ import annotations
@@ -84,11 +85,19 @@ def _edge_case_graphs() -> list[tuple[str, TaskGraph]]:
     zero_comm.add_edge("b", "d", 0)
     zero_comm.add_edge("c", "d", 0)
 
+    # every level ties, so placement order is decided by tie-breaks alone
+    unit_fork = TaskGraph()
+    unit_fork.add_task("src", 1)
+    for i in range(8):
+        unit_fork.add_task(i, 1)
+        unit_fork.add_edge("src", i, 1)
+
     return [
         ("single", single),
         ("chain", chain),
         ("fork-join", fork_join),
         ("zero-cost-edges", zero_comm),
+        ("unit-fork", unit_fork),
     ]
 
 
@@ -231,11 +240,12 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("name", ["MCP", "MH", "HU", "ETF", "HLFET", "DLS"])
     def test_bounded_pool_placement_identical(self, name):
         oracle = reference.SCHEDULERS[name]
-        for g in GRAPHS:
-            ref = oracle(g, max_processors=2).to_dict()
-            sched = type(get_scheduler(name))(max_processors=2)
-            ker = sched.schedule(g.copy()).to_dict()
-            assert ref == ker
+        for cap in (1, 2, 3):
+            for g in GRAPHS:
+                ref = oracle(g, max_processors=cap).to_dict()
+                sched = type(get_scheduler(name))(max_processors=cap)
+                ker = sched.schedule(g.copy()).to_dict()
+                assert ref == ker, f"max_processors={cap}"
 
 
 # ----------------------------------------------------------------------

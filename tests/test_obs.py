@@ -14,7 +14,7 @@ import logging
 import pytest
 
 from repro import TaskGraph, get_scheduler
-from repro.core.exceptions import ScheduleError
+from repro.core.exceptions import GraphError, ScheduleError
 from repro.core.schedule import Schedule
 from repro.experiments.runner import evaluate_graph, run_suite
 from repro.generation.suites import SuiteCell, SuiteGraph
@@ -231,6 +231,15 @@ class TestSchedulerSpans:
         assert "boom" in span["args"]["error"]
         assert reg.counter("scheduler.BOOM.errors") == 1
         assert reg.timer_stats("scheduler.BOOM").count == 1
+
+    def test_empty_graph_rejection_is_observed(self):
+        with use_tracer(Tracer()) as tracer, use_registry(MetricsRegistry()) as reg:
+            with pytest.raises(GraphError, match="empty graph"):
+                get_scheduler("MH").schedule(TaskGraph())
+        (span,) = tracer.spans("schedule.MH")
+        assert "empty graph" in span["args"]["error"]
+        assert reg.counter("scheduler.MH.errors") == 1
+        assert reg.timer_stats("scheduler.MH").count == 1
 
     def test_nested_graph_span_parents_scheduler_span(self, paper_example):
         with use_tracer(Tracer()) as tracer:

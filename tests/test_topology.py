@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro import MHScheduler, ScheduleError, TaskGraph
+from repro.core.wire import dumps
+from repro.generation.random_dag import generate_pdg
 from repro.topology import (
     FullyConnected,
     Hypercube,
     Mesh2D,
+    PortAwareScheduler,
     Ring,
     Star,
     TopologyMHScheduler,
@@ -152,3 +158,62 @@ class TestTopologyMH:
         net = Ring(3)
         s = TopologyMHScheduler(net).schedule(g)
         validate_on_topology(s, g, net)
+
+
+def _pinned_corpus() -> list[TaskGraph]:
+    """Seeded PDGs over every granularity band, tie-heavy and spread weights,
+    plus a unit-weight wide fork where every level ties."""
+    graphs = []
+    for band in range(5):
+        for wr in [(1, 2), (20, 100)]:
+            rng = np.random.default_rng(7000 + band * 10 + wr[0])
+            graphs.append(
+                generate_pdg(rng, n_tasks=24, band=band, anchor=3, weight_range=wr)
+            )
+    fork = TaskGraph()
+    fork.add_task("src", 1)
+    for i in range(8):
+        fork.add_task(i, 1)
+        fork.add_edge("src", i, 1)
+    graphs.append(fork)
+    return graphs
+
+
+class TestPinnedSchedules:
+    """Exact TopologyMH / MH1P output on a seeded corpus, as SHA-256 digests.
+
+    The other tests here check validity and port feasibility only; these
+    digests pin every placement (and MH1P's committed transfers), so a
+    rewrite of the release loops must reproduce the schedules bit for bit.
+    """
+
+    def test_topology_mh_and_mh1p_digests(self):
+        corpus = _pinned_corpus()
+
+        def digest(payloads) -> str:
+            return hashlib.sha256(dumps(payloads).encode("utf-8")).hexdigest()[:16]
+
+        def port_aware(max_processors):
+            payloads = []
+            for g in corpus:
+                sched = PortAwareScheduler(max_processors=max_processors)
+                s = sched.schedule(g)
+                payloads.append([s.to_dict(), sched.last_transfers])
+            return digest(payloads)
+
+        got = {
+            "MH@Ring6": digest(
+                [TopologyMHScheduler(Ring(6)).schedule(g).to_dict() for g in corpus]
+            ),
+            "MH@Star5": digest(
+                [TopologyMHScheduler(Star(5)).schedule(g).to_dict() for g in corpus]
+            ),
+            "MH1P": port_aware(None),
+            "MH1P/2": port_aware(2),
+        }
+        assert got == {
+            "MH@Ring6": "5a83f87d26d5dcd2",
+            "MH@Star5": "18aeb40eaf0e24fd",
+            "MH1P": "33ebd8eef996c998",
+            "MH1P/2": "5fb0e7919e4c232f",
+        }
