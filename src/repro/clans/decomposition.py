@@ -15,19 +15,23 @@ tree is its modular decomposition:
   mixed orientations would contradict transitivity along incomparability
   paths).
 * Else the clan is PRIMITIVE; its children are its maximal proper strong
-  modules, computed with smallest-module closures:  the smallest module
-  containing ``{v, u}`` either is the whole clan or lies inside the (unique)
-  maximal strong module containing ``v``, so the union of all proper
-  closures from ``v`` *is* that child.
+  modules.  With ``v`` the lowest vertex, partition refinement yields
+  P(S, v), the maximal modules not containing ``v``.  Each of its parts
+  either lies inside M(v), the child containing ``v``, or is itself a
+  child; one smallest-module closure per part on the quotient (one
+  representative per part, plus ``v``) tells which, since the closure of
+  ``v`` and a part is proper exactly when the part lies inside M(v).
 
 Relations are held as integer bitsets (one Python int per vertex row): at
-testbed sizes (n of order 100) the closure waves fit in a few machine words
-each, and big-int and/or/xor is fast.  Vertices are numbered in ascending
+testbed sizes (n of order 100) a row fits in a few machine words, and
+big-int and/or/xor is fast.  Vertices are numbered in ascending
 topological order, so "lowest set bit" is "minimum topological index":
-components are discovered in ascending first-vertex order and
-smallest-module closures are seeded in ascending (v, u) order, which makes
-child orderings deterministic.  Complexity is O(n^3) worst case, comfortably
-fast for the testbed's graph sizes.
+components are discovered in ascending first-vertex order and primitive
+children are sorted by lowest bit, which makes child orderings
+deterministic.  A primitive node costs O(n·parts) big-int operations in
+practice (each pivot is one pass over the parts; a vertex is a pivot again
+only when its own part splits), O(n²·parts) in the worst case; see
+``docs/clans.md``.
 """
 
 from __future__ import annotations
@@ -88,11 +92,11 @@ class _BitRelations:
             desc[i] = m
         anc = [0] * n
         for i in range(n):
-            m = desc[i]
-            while m:
-                lsb = m & -m
-                anc[lsb.bit_length() - 1] |= 1 << i
-                m ^= lsb
+            m = 0
+            for p in graph.predecessors(tasks[i]):
+                j = index[p]
+                m |= (1 << j) | anc[j]
+            anc[i] = m
         self.tasks = tasks
         self.n = n
         self.full = (1 << n) - 1
@@ -159,53 +163,73 @@ def _decompose_bits(br: _BitRelations, subset: int) -> ClanNode:
 def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
     """Maximal proper strong modules of a primitive 2-structure (as masks).
 
-    Seeds ``v`` are taken in ascending order; each part's smallest vertex
-    is its seed, so parts come out ascending.
-
-    For each seed ``v`` (one per part) the splitter masks are hoisted:
-    ``diffs[w]`` is the set of vertices whose relation to ``w`` differs from
-    their relation to ``v`` — the vertices that agree on both are
-    ``(anc[w] & anc[v]) | (desc[w] & desc[v]) | (unrel[w] & unrel[v])``.
-    The closures for every ``u`` under the same ``v`` then reduce to one OR
-    per newly joined vertex per wave.
+    With ``v`` the lowest vertex of ``subset``, partition refinement yields
+    P(S, v), the maximal modules of S that do not contain ``v``: starting
+    from the single part ``S - {v}``, each pivot ``p`` splits every part
+    not containing ``p`` into its ``anc[p]``, ``desc[p]`` and unrelated
+    pieces, and every part that split re-queues its vertices as pivots (a
+    vertex must be uniform towards each part it is not in, and a split
+    creates new such parts).  At a prime node every part either lies inside
+    M(v), the child containing ``v``, or is itself a child; a part lies
+    inside M(v) iff the smallest module containing ``v`` and the part is
+    proper, which one closure on the quotient (one representative per part,
+    plus ``v``) decides.  Children come out in ascending lowest-bit order,
+    M(v) first.
     """
-    parts: list[int] = []
-    assigned = 0
-    anc = br.anc
-    desc = br.desc
-    unrel = br.unrel
-    diffs = [0] * br.n
-    sv = subset
-    while sv:
-        vbit = sv & -sv
-        sv ^= vbit
-        if assigned & vbit:
-            continue
-        v = vbit.bit_length() - 1
-        av, dv, uv = anc[v], desc[v], unrel[v]
-        m = subset
-        while m:
-            lsb = m & -m
-            z = lsb.bit_length() - 1
-            diffs[z] = ~((anc[z] & av) | (desc[z] & dv) | (unrel[z] & uv))
-            m ^= lsb
-        member = vbit
-        su = subset
-        while su:
-            ubit = su & -su
-            su ^= ubit
-            if ubit == vbit or member & ubit or assigned & ubit:
+    vbit = subset & -subset
+    v = vbit.bit_length() - 1
+    anc, desc, unrel = br.anc, br.desc, br.unrel
+    parts = [subset ^ vbit]
+    pending = vbit
+    while pending:
+        pbit = pending & -pending
+        pending ^= pbit
+        p = pbit.bit_length() - 1
+        above, below = anc[p], desc[p]
+        refined: list[int] = []
+        for part in parts:
+            up = part & above
+            down = part & below
+            if part & pbit or up == part or down == part or not (up | down):
+                refined.append(part)
                 continue
-            closure = _smallest_module_bits(subset, vbit, ubit, diffs)
-            if closure != subset:  # proper: lies inside v's maximal module
-                member |= closure
-        parts.append(member)
-        assigned |= member
-    if len(parts) < 2:
+            pending |= part
+            rest = part ^ up ^ down
+            refined.extend(piece for piece in (up, down, rest) if piece)
+        parts = refined
+
+    quotient = vbit
+    for part in parts:
+        quotient |= part & -part
+    av, dv, uv = anc[v], desc[v], unrel[v]
+    diffs = [0] * br.n
+    m = quotient ^ vbit
+    while m:
+        lsb = m & -m
+        z = lsb.bit_length() - 1
+        diffs[z] = ~((anc[z] & av) | (desc[z] & dv) | (unrel[z] & uv))
+        m ^= lsb
+    inside = vbit  # representatives of the parts that lie inside M(v)
+    for part in parts:
+        rep = part & -part
+        if inside & rep:
+            continue
+        closure = _smallest_module_bits(quotient, vbit, rep, diffs)
+        if closure != quotient:
+            inside |= closure
+    mv = vbit
+    children: list[int] = []
+    for part in parts:
+        if inside & part:
+            mv |= part
+        else:
+            children.append(part)
+    if not children:
         raise DecompositionError(
             "primitive clan produced fewer than two children (internal error)"
         )
-    return parts
+    children.sort(key=lambda part: part & -part)
+    return [mv, *children]
 
 
 def _smallest_module_bits(subset: int, vbit: int, ubit: int, diffs: list[int]) -> int:
@@ -213,9 +237,9 @@ def _smallest_module_bits(subset: int, vbit: int, ubit: int, diffs: list[int]) -
 
     Wave-batched closure: whenever vertices join, every outside vertex whose
     relation to any of them differs from its (uniform) relation to the seed
-    becomes a splitter and joins in the next wave.  ``diffs`` holds the
-    precomputed per-vertex splitter masks (see
-    :func:`_primitive_children_bits`).
+    becomes a splitter and joins in the next wave.  ``diffs[z]`` is the set
+    of vertices whose relation to ``z`` differs from their relation to the
+    seed (see :func:`_primitive_children_bits`).
     """
     member = vbit | ubit
     new = ubit

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from ..core.exceptions import DecompositionError
 from ..core.taskgraph import Task, TaskGraph
-from .decomposition import is_clan
 from .parse_tree import ClanKind, ClanNode
 from .relations import RelationMatrix, UNRELATED
 
@@ -73,15 +74,20 @@ def verify_parse_tree(graph: TaskGraph, tree: ClanNode) -> None:
     Checks: leaves are exactly the tasks; children partition each node;
     every node is a clan; LINEAR children are totally ordered; INDEPENDENT
     children are pairwise unrelated; PRIMITIVE nodes have >= 3 children and
-    no two children merge into a clan.  Raises
-    :class:`DecompositionError` on the first violation.
+    a prime quotient (the smallest clan holding any two children is the
+    whole node, so no union of children short of the node is a clan).
+    Raises :class:`DecompositionError` on the first violation.
     """
     leaves = sorted(map(repr, (leaf.task for leaf in tree.leaves())))
     if leaves != sorted(map(repr, graph.tasks())):
         raise DecompositionError("parse-tree leaves do not match graph tasks")
     rm = RelationMatrix(graph)
+    rel = rm.matrix
     for node in tree.walk():
-        if not is_clan(graph, node.members):
+        rows = [rm.index[t] for t in node.members]
+        outside = np.setdiff1d(np.arange(rm.n), rows)
+        block = rel[np.ix_(outside, rows)]
+        if not (block == block[:, :1]).all():
             raise DecompositionError(f"{node!r} is not a clan")
         if node.is_leaf:
             continue
@@ -110,11 +116,30 @@ def verify_parse_tree(graph: TaskGraph, tree: ClanNode) -> None:
                 raise DecompositionError(
                     f"PRIMITIVE node with {len(node.children)} children"
                 )
-            for a, b in combinations(node.children, 2):
-                if is_clan(graph, a.members | b.members):
+            idx = [rm.index[t] for t in reps]
+            quotient = rel[np.ix_(idx, idx)]
+            for a, b in combinations(range(len(idx)), 2):
+                if not _smallest_module(quotient, a, b).all():
                     raise DecompositionError(
-                        f"two children of primitive {node!r} merge into a clan"
+                        f"children of primitive {node!r} are not maximal: "
+                        "some of them form a clan"
                     )
+
+
+def _smallest_module(rel: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Mask of the smallest module of ``rel`` containing ``a`` and ``b``.
+
+    A vertex outside the current set that sees two members in different
+    relations splits it and must join; repeat until nothing splits.
+    """
+    member = np.zeros(rel.shape[0], dtype=bool)
+    member[[a, b]] = True
+    while True:
+        cols = rel[:, member]
+        splitters = (cols != cols[:, :1]).any(axis=1) & ~member
+        if not splitters.any():
+            return member
+        member |= splitters
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,7 @@ class _Quotient:
     comm_out: list[float]  # heaviest direct message to outside the clan
     succ: list[dict[int, float]]  # quotient edges with heaviest member edge
     pred: list[dict[int, float]]
+    blevel: list[float]  # communication-free longest path to a quotient sink
 
 
 @dataclass
@@ -170,7 +171,17 @@ class ClansScheduler(Scheduler):
                     if j != i and w > succ[i].get(j, -1.0):
                         succ[i][j] = w
                         pred[j][i] = w
-        return _Quotient(costs, comm_in, comm_out, succ, pred)
+        blevel = [0.0] * n
+        indeg_out = [len(succ[i]) for i in range(n)]
+        stack = [i for i in range(n) if indeg_out[i] == 0]
+        while stack:
+            i = stack.pop()
+            blevel[i] = costs[i] + max((blevel[j] for j in succ[i]), default=0.0)
+            for p in pred[i]:
+                indeg_out[p] -= 1
+                if indeg_out[p] == 0:
+                    stack.append(p)
+        return _Quotient(costs, comm_in, comm_out, succ, pred, blevel)
 
     def _decide(self, node: ClanNode, ctx: _Context) -> GroupDecision:
         """Best grouping of a clan's children onto ``k`` processors.
@@ -182,8 +193,11 @@ class ClansScheduler(Scheduler):
         ``comm_out`` after their last producing child).  The cheapest ``k``
         wins; the scan stops once adding processors stops helping (the
         makespan-vs-k curve is effectively convex), with full
-        parallelization always evaluated.  With the speedup check disabled
-        the grouping is forced fully parallel.
+        parallelization always evaluated.  A candidate that leaves a
+        processor empty ends the scan: the cap no longer binds, so every
+        larger ``k`` (full parallelization included) replays the same
+        schedule and cannot be strictly cheaper.  With the speedup check
+        disabled the grouping is forced fully parallel.
         """
         q = self._quotient(node, ctx)
         n = len(q.costs)
@@ -198,8 +212,10 @@ class ClansScheduler(Scheduler):
                 stale = 0
             else:
                 stale += 1
-                if stale >= 2:
-                    break
+            if len(cand.groups) < k:
+                return best
+            if stale >= 2:
+                break
         if n > 1:
             cand = self._mini_schedule(q, n)
             if cand.cost < best.cost - 1e-12:
@@ -215,56 +231,54 @@ class ClansScheduler(Scheduler):
         processors.
         """
         n = len(q.costs)
-        # static priority: communication-free longest path to a quotient sink
-        blevel = [0.0] * n
-        indeg_out = [len(q.succ[i]) for i in range(n)]
-        stack = [i for i in range(n) if indeg_out[i] == 0]
-        while stack:
-            i = stack.pop()
-            blevel[i] = q.costs[i] + max(
-                (blevel[j] for j in q.succ[i]), default=0.0
-            )
-            for p in q.pred[i]:
-                indeg_out[p] -= 1
-                if indeg_out[p] == 0:
-                    stack.append(p)
-
+        blevel = q.blevel
+        comm_in = q.comm_in
+        pred = q.pred
         proc_free = [0.0] * k
         proc_of = [-1] * n
         finish = [0.0] * n
         groups: list[list[int]] = [[] for _ in range(k)]
-        waiting = [len(q.pred[i]) for i in range(n)]
-        ready = {i for i in range(n) if waiting[i] == 0}
+        waiting = [len(pred[i]) for i in range(n)]
+        ready = [i for i in range(n) if waiting[i] == 0]
         worst = 0.0
+        # Processors fill in index order: every empty non-local processor
+        # offers a task the same start and ties go to the lowest index, so
+        # only processors 0..used are candidates.
+        used = 0
         while ready:
             best_key = None
-            choice = None
+            span = range(min(used + 1, k))
             for i in ready:
-                for p in range(k):
+                edges = pred[i].items()
+                bs = bp = None
+                for p in span:
                     start = proc_free[p]
                     if p != 0:
-                        start = max(start, q.comm_in[i])
-                    for j, w in q.pred[i].items():
+                        start = max(start, comm_in[i])
+                    for j, w in edges:
                         arrival = finish[j] + (w if proc_of[j] != p else 0.0)
                         if arrival > start:
                             start = arrival
-                    key = (start, -blevel[i], p, i)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        choice = (i, p, start)
-            assert choice is not None
-            i, p, start = choice
+                    if bs is None or start < bs:
+                        bs, bp = start, p
+                key = (bs, -blevel[i], bp, i)
+                if best_key is None or key < best_key:
+                    best_key = key
+            assert best_key is not None
+            start, _, p, i = best_key
             proc_of[i] = p
             finish[i] = start + q.costs[i]
             proc_free[p] = finish[i]
             groups[p].append(i)
             done = finish[i] + (q.comm_out[i] if p != 0 else 0.0)
             worst = max(worst, done)
+            if p == used:
+                used += 1
             ready.remove(i)
             for j in q.succ[i]:
                 waiting[j] -= 1
                 if waiting[j] == 0:
-                    ready.add(j)
+                    ready.append(j)
         return GroupDecision([g for g in groups if g], worst)
 
     # ------------------------------------------------------------------

@@ -16,7 +16,8 @@ tie-breaks, same dict iteration order, same placements:
   ``best_processor`` re-scans every candidate's in-edges;
 * the list/clustering schedulers :func:`dsc`, :func:`mcp`, :func:`mh`,
   :func:`hu`, :func:`etf`, :func:`hlfet`, :func:`dls`, plus :func:`clans`
-  (production CLANS running on the reference decomposition and simulator).
+  and :func:`clans_run` (production CLANS running on the reference
+  decomposition, decision step and simulator).
 
 Nothing here is memoized on the graph, so calling an oracle never primes
 or reads the production memo table.  ``SCHEDULERS`` maps heuristic names to
@@ -38,6 +39,7 @@ from repro.core.exceptions import DecompositionError, ScheduleError
 from repro.core.schedule import Schedule
 from repro.core.simulator import _validate_clusters
 from repro.core.taskgraph import Task, TaskGraph
+from repro.schedulers.clans_sched import GroupDecision
 
 # ----------------------------------------------------------------------
 # levels
@@ -671,14 +673,125 @@ def dls(graph: TaskGraph, *, max_processors: int | None = None) -> Schedule:
     return _dynamic_list(graph, max_processors, best_slot)
 
 
-def clans(graph: TaskGraph) -> Schedule:
-    """Production CLANS on the reference decomposition and simulator."""
+# The CLANS decision step without production's shortcuts: every k is
+# list-scheduled over all k processors with the b-levels recomputed, and
+# full parallelization is always evaluated.
+def _clans_decide(self, node: ClanNode, ctx) -> GroupDecision:
+    """Best grouping of a clan's children onto ``k`` processors.
+
+    For each candidate ``k`` the quotient is list-scheduled onto ``k``
+    processors (processor 0 is the *local* one: it holds the clan's
+    surrounding context, so it pays no external communication; others
+    pay ``comm_in`` before their first input-consuming child and
+    ``comm_out`` after their last producing child).  The cheapest ``k``
+    wins; the scan stops once adding processors stops helping (the
+    makespan-vs-k curve is effectively convex), with full
+    parallelization always evaluated.  With the speedup check disabled
+    the grouping is forced fully parallel.
+    """
+    q = self._quotient(node, ctx)
+    n = len(q.costs)
+    if not self.speedup_check:
+        return self._mini_schedule(q, n)
+    best = self._mini_schedule(q, 1)
+    stale = 0
+    for k in range(2, n):
+        cand = self._mini_schedule(q, k)
+        if cand.cost < best.cost - 1e-12:
+            best = cand
+            stale = 0
+        else:
+            stale += 1
+            if stale >= 2:
+                break
+    if n > 1:
+        cand = self._mini_schedule(q, n)
+        if cand.cost < best.cost - 1e-12:
+            best = cand
+    return best
+
+
+def _clans_mini_schedule(q, k: int) -> GroupDecision:
+    """ETF-style list schedule of the quotient on ``k`` processors.
+
+    Returns the grouping (per-processor child order) and the estimated
+    completion cost including external communication of the non-local
+    processors.
+    """
+    n = len(q.costs)
+    # static priority: communication-free longest path to a quotient sink
+    blevel = [0.0] * n
+    indeg_out = [len(q.succ[i]) for i in range(n)]
+    stack = [i for i in range(n) if indeg_out[i] == 0]
+    while stack:
+        i = stack.pop()
+        blevel[i] = q.costs[i] + max(
+            (blevel[j] for j in q.succ[i]), default=0.0
+        )
+        for p in q.pred[i]:
+            indeg_out[p] -= 1
+            if indeg_out[p] == 0:
+                stack.append(p)
+
+    proc_free = [0.0] * k
+    proc_of = [-1] * n
+    finish = [0.0] * n
+    groups: list[list[int]] = [[] for _ in range(k)]
+    waiting = [len(q.pred[i]) for i in range(n)]
+    ready = {i for i in range(n) if waiting[i] == 0}
+    worst = 0.0
+    while ready:
+        best_key = None
+        choice = None
+        for i in ready:
+            for p in range(k):
+                start = proc_free[p]
+                if p != 0:
+                    start = max(start, q.comm_in[i])
+                for j, w in q.pred[i].items():
+                    arrival = finish[j] + (w if proc_of[j] != p else 0.0)
+                    if arrival > start:
+                        start = arrival
+                key = (start, -blevel[i], p, i)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    choice = (i, p, start)
+        assert choice is not None
+        i, p, start = choice
+        proc_of[i] = p
+        finish[i] = start + q.costs[i]
+        proc_free[p] = finish[i]
+        groups[p].append(i)
+        done = finish[i] + (q.comm_out[i] if p != 0 else 0.0)
+        worst = max(worst, done)
+        ready.remove(i)
+        for j in q.succ[i]:
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                ready.add(j)
+    return GroupDecision([g for g in groups if g], worst)
+
+
+def clans_run(graph: TaskGraph, *, speedup_check: bool = True) -> tuple[Schedule, bool]:
+    """Production CLANS on the reference decomposition, decision step and
+    simulator; returns the schedule and whether the macro fallback fired."""
     from repro.schedulers import clans_sched
 
+    scheduler = clans_sched.ClansScheduler(speedup_check=speedup_check)
+    cls = clans_sched.ClansScheduler
     with mock.patch.object(clans_sched, "decompose", decompose), mock.patch.object(
         clans_sched, "simulate_ordered", simulate_ordered
-    ), mock.patch.object(clans_sched, "serial_schedule", serial_schedule):
-        return clans_sched.ClansScheduler()._schedule(graph)
+    ), mock.patch.object(
+        clans_sched, "serial_schedule", serial_schedule
+    ), mock.patch.object(cls, "_decide", _clans_decide), mock.patch.object(
+        cls, "_mini_schedule", staticmethod(_clans_mini_schedule)
+    ):
+        schedule = scheduler._schedule(graph)
+    return schedule, scheduler.last_fallback
+
+
+def clans(graph: TaskGraph) -> Schedule:
+    return clans_run(graph)[0]
 
 
 SCHEDULERS: dict[str, Callable[[TaskGraph], Schedule]] = {

@@ -88,6 +88,27 @@ class TestVerifyParseTree:
             verify_parse_tree(paper_example, bad)
 
 
+    def test_detects_flattened_primitive_child(self):
+        """An N poset substituted for one vertex of another N: the inner N
+        is a prime child of the root, so a root listing all seven vertices
+        as leaves is not maximal, although no two of them form a clan."""
+        g = TaskGraph()
+        for t in ("a", "b", "c", "d", "x", "c_out", "d_out"):
+            g.add_task(t, 1)
+        for u, v in [("a", "c"), ("b", "c"), ("b", "d"), ("c", "c_out"),
+                     ("d", "c_out"), ("x", "c_out"), ("x", "d_out")]:
+            g.add_edge(u, v, 1)
+        good = decompose(g)
+        verify_parse_tree(g, good)
+        inner = frozenset("abcd")
+        assert good.kind is ClanKind.PRIMITIVE
+        assert inner in [c.members for c in good.children]
+        leaves = [ClanNode(ClanKind.LEAF, frozenset([t]), task=t) for t in g.tasks()]
+        flat = ClanNode(ClanKind.PRIMITIVE, good.members, leaves)
+        with pytest.raises(DecompositionError, match="not maximal"):
+            verify_parse_tree(g, flat)
+
+
 class TestTreeStatistics:
     def test_paper_example(self, paper_example):
         st = tree_statistics(decompose(paper_example))

@@ -13,11 +13,15 @@ decomposition.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import TaskGraph
+from repro.clans import decomposition
 from repro.clans.decomposition import decompose
+from repro.clans.parse_tree import ClanKind, ClanNode
 from repro.core.analysis import (
     alap_times,
     b_levels,
@@ -34,8 +38,10 @@ from repro.core.kernels import (
 )
 from repro.core.simulator import simulate_clustering, simulate_ordered
 from repro.generation.random_dag import generate_pdg
+from repro.generation.suites import generate_suite
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.schedulers import get_scheduler
+from repro.schedulers.clans_sched import ClansScheduler
 
 import reference
 
@@ -263,6 +269,97 @@ class TestDecompositionEquivalence:
         ref = _tree_shape(reference.decompose(g))
         ker = _tree_shape(decompose(g))
         assert ref == ker
+
+
+# ----------------------------------------------------------------------
+# CLANS on the 60-graph reference suite (decomposition + decision step)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def reference_suite() -> list[TaskGraph]:
+    return [sg.graph for sg in generate_suite(graphs_per_cell=1, seed=SEED)]
+
+
+def _parts_avoiding_lowest(node: ClanNode, index: dict) -> int:
+    """|P(S, v)|: the maximal clans of ``node`` that miss its lowest vertex v.
+
+    Read off the parse tree along the path down to v: every other child of
+    a PRIMITIVE node is one; the other children of an INDEPENDENT node
+    form one together; those of a LINEAR node form one block before v's
+    child and one after it.
+    """
+    low = min(index[t] for t in node.members)
+    count = 0
+    while not node.is_leaf:
+        at = next(
+            i for i, c in enumerate(node.children)
+            if any(index[t] == low for t in c.members)
+        )
+        if node.kind is ClanKind.PRIMITIVE:
+            count += len(node.children) - 1
+        elif node.kind is ClanKind.INDEPENDENT:
+            count += 1
+        else:
+            count += (at > 0) + (at < len(node.children) - 1)
+        node = node.children[at]
+    return count
+
+
+class TestClansReferenceSuite:
+    def test_trees_identical_and_primitive_rich(self, reference_suite):
+        widest = 0
+        for i, g in enumerate(reference_suite):
+            ref = reference.decompose(g)
+            assert _tree_shape(decompose(g.copy())) == _tree_shape(ref), f"graph {i}"
+            for node in ref.walk():
+                if node.kind is ClanKind.PRIMITIVE:
+                    widest = max(widest, len(node.children))
+        assert widest >= 20
+
+    @pytest.mark.parametrize("speedup_check", [True, False])
+    def test_clans_identical(self, reference_suite, speedup_check):
+        for i, g in enumerate(reference_suite):
+            ref, ref_fallback = reference.clans_run(g, speedup_check=speedup_check)
+            sched = ClansScheduler(speedup_check=speedup_check)
+            ker = sched.schedule(g.copy())
+            assert ker.to_dict() == ref.to_dict(), f"graph {i}"
+            assert sched.last_fallback == ref_fallback, f"graph {i}"
+
+    def test_one_closure_per_part_at_each_primitive_node(self, reference_suite):
+        """At a PRIMITIVE node the closures run on the quotient of P(S, v)
+        plus v, at most once per part (not once per vertex pair)."""
+        real_children = decomposition._primitive_children_bits
+        real_closure = decomposition._smallest_module_bits
+        log: list[list[int]] = []  # [node mask, closure calls, largest subset]
+
+        def children(br, subset):
+            log.append([subset, 0, 0])
+            return real_children(br, subset)
+
+        def closure(subset, vbit, ubit, diffs):
+            log[-1][1] += 1
+            log[-1][2] = max(log[-1][2], subset.bit_count())
+            return real_closure(subset, vbit, ubit, diffs)
+
+        n_primitive = 0
+        with mock.patch.object(
+            decomposition, "_primitive_children_bits", children
+        ), mock.patch.object(decomposition, "_smallest_module_bits", closure):
+            for i, g in enumerate(reference_suite):
+                log.clear()
+                tree = decompose(g.copy())
+                index = {t: j for j, t in enumerate(g.topological_order())}
+                bound = {
+                    sum(1 << index[t] for t in node.members):
+                        _parts_avoiding_lowest(node, index)
+                    for node in tree.walk()
+                    if node.kind is ClanKind.PRIMITIVE
+                }
+                assert sorted(mask for mask, _, _ in log) == sorted(bound)
+                for mask, calls, largest in log:
+                    assert calls <= bound[mask], f"graph {i}"
+                    assert largest <= bound[mask] + 1, f"graph {i}"
+                n_primitive += len(bound)
+        assert n_primitive > 0
 
 
 # ----------------------------------------------------------------------
